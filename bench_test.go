@@ -243,39 +243,57 @@ func BenchmarkStateSpaceStates(b *testing.B) {
 	}
 }
 
-// BenchmarkStateSpaceParallel sweeps the sharded exploration over worker
-// counts on the MJPEG workload (results are bit-identical at every
-// setting; see internal/statespace/parallel.go). The speedup over the
-// workers=1 sub-benchmark is the tentpole figure of EXPERIMENTS.md E11 —
-// on a single-core host the sweep degenerates to measuring the pipeline
-// overhead, which is itself worth tracking.
-func BenchmarkStateSpaceParallel(b *testing.B) {
-	cfg, _ := mjpegAppForBench(b)
-	p, err := arch.DefaultTemplate().Generate("p", 5, arch.FSL)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := mapping.Map(cfg.App, p, mapping.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			states := 0
-			for i := 0; i < b.N; i++ {
-				r, err := statespace.Analyze(m.Expanded.Graph, statespace.Options{
-					Schedules: m.ExpandedSchedules, MaxStates: 1 << 22, Workers: w,
-				})
-				if err != nil {
-					b.Fatal(err)
+// BenchmarkStateSpaceLarge explores generated long-transient graphs of
+// ~600k states, inside the default MaxStates budget, at both key widths:
+// a chain of 8 MaxConcurrent=1 actors closed by a back edge whose tokens
+// the slower last actor drains into its input channel before the
+// execution turns periodic. "narrow" (WCETs 5…5,6, 60k tokens) keeps
+// every token count in the two-byte key encoding; "wide" (WCETs 2…2,3,
+// 150k tokens) runs on the eight-byte fallback. "workers=1" pins the
+// sequential kernel; "auto" is the default dispatch, which promotes the
+// exploration to the sharded pipeline (one shard per CPU) once it is
+// large. The auto / workers=1 ratio is what keeps the sharded explorer in
+// the tree (EXPERIMENTS.md E11).
+func BenchmarkStateSpaceLarge(b *testing.B) {
+	for _, c := range []struct {
+		name       string
+		fast, slow int64
+		tokens     int
+	}{{"narrow", 5, 6, 60_000}, {"wide", 2, 3, 150_000}} {
+		g := sdf.NewGraph("chain-" + c.name)
+		actors := make([]*sdf.Actor, 8)
+		for i := range actors {
+			wcet := c.fast
+			if i == len(actors)-1 {
+				wcet = c.slow
+			}
+			actors[i] = g.AddActor(fmt.Sprintf("a%d", i), wcet)
+			actors[i].MaxConcurrent = 1
+		}
+		for i := 0; i+1 < len(actors); i++ {
+			g.Connect(actors[i], actors[i+1], 1, 1, 0)
+		}
+		g.Connect(actors[len(actors)-1], actors[0], 1, 1, c.tokens)
+		for _, mode := range []struct {
+			name    string
+			workers int
+		}{{"workers=1", 1}, {"auto", 0}} {
+			b.Run(c.name+"/"+mode.name, func(b *testing.B) {
+				b.ReportAllocs()
+				states := 0
+				for i := 0; i < b.N; i++ {
+					r, err := statespace.Analyze(g, statespace.Options{Workers: mode.workers})
+					if err != nil {
+						b.Fatal(err)
+					}
+					states = r.StatesExplored
 				}
-				states = r.StatesExplored
-			}
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(states)*float64(b.N)/secs, "states/s")
-			}
-		})
+				b.ReportMetric(float64(states), "states/op")
+				if secs := b.Elapsed().Seconds(); secs > 0 {
+					b.ReportMetric(float64(states)*float64(b.N)/secs, "states/s")
+				}
+			})
+		}
 	}
 }
 

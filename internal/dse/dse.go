@@ -114,12 +114,13 @@ type Config struct {
 	// custom MapOptions.Analyze must be safe for concurrent use.
 	Workers int
 
-	// AnalyzeWorkers selects the state-space exploration parallelism
+	// AnalyzeWorkers caps the state-space exploration parallelism
 	// inside each point's throughput analyses (statespace
-	// Options.Workers; results are bit-identical at any setting). Zero
-	// keeps the analysis default. Point-level parallelism (Workers) and
-	// analysis-level parallelism compose multiplicatively; on small
-	// hosts prefer Workers.
+	// Options.Workers: only analyses large enough to be promoted to the
+	// sharded explorer use it; results are bit-identical at any
+	// setting). Zero keeps the analysis default. Point-level parallelism
+	// (Workers) and analysis-level parallelism compose multiplicatively;
+	// on small hosts prefer Workers.
 	AnalyzeWorkers int
 
 	// Obs, if non-nil, records one span per evaluated candidate — on the

@@ -56,12 +56,13 @@ type Config struct {
 	// MapOptions steer the SDF3 step.
 	MapOptions mapping.Options
 
-	// AnalyzeWorkers selects the state-space exploration parallelism of
+	// AnalyzeWorkers caps the state-space exploration parallelism of
 	// every throughput analysis the flow performs (statespace
-	// Options.Workers): 1 runs the sequential kernel, larger values
-	// shard the exploration with a bit-identical result, 0 keeps the
-	// analysis default. Applied only where the analysis does not set its
-	// own worker count.
+	// Options.Workers): analyses start sequential and only large ones
+	// are promoted to the sharded explorer; 1 never promotes, larger
+	// values cap the shard count, 0 keeps the analysis default (one
+	// shard per CPU). Results are bit-identical at every setting.
+	// Applied only where the analysis does not set its own worker count.
 	AnalyzeWorkers int
 
 	// Warm, if non-nil, routes the flow's analyses through the

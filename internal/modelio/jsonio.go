@@ -56,10 +56,13 @@ type FlowRequestJSON struct {
 	// TargetThroughput (iterations/cycle) is the constraint the degraded
 	// mode is checked against; zero checks against the original bound.
 	TargetThroughput float64 `json:"targetThroughput,omitempty"`
-	// AnalyzeWorkers selects the state-space exploration parallelism for
-	// the flow's throughput analyses (1 = the sequential kernel, which
-	// every other setting reproduces bit for bit; 0 = the server
-	// default). Values outside 1..4×GOMAXPROCS are rejected with 400.
+	// AnalyzeWorkers caps the state-space exploration parallelism of the
+	// flow's throughput analyses. Every analysis starts on the
+	// sequential kernel; only one that grows large is promoted to the
+	// sharded explorer, with at most this many shards. 1 never promotes,
+	// N≥2 allows up to N shards, 0 takes the server default (itself 0 =
+	// one shard per CPU). Every setting yields bit-identical results.
+	// Values outside 1..4×GOMAXPROCS are rejected with 400.
 	AnalyzeWorkers int `json:"analyzeWorkers,omitempty"`
 }
 
@@ -70,7 +73,7 @@ type AnalyzeRequestJSON struct {
 	// TargetThroughput (iterations/cycle) additionally sizes buffers for
 	// the constraint when positive.
 	TargetThroughput float64 `json:"targetThroughput,omitempty"`
-	// AnalyzeWorkers selects the state-space exploration parallelism
+	// AnalyzeWorkers caps the state-space exploration parallelism
 	// (see FlowRequestJSON.AnalyzeWorkers).
 	AnalyzeWorkers int `json:"analyzeWorkers,omitempty"`
 }
@@ -92,7 +95,7 @@ type DSERequestJSON struct {
 	// (0 = the server default). Values outside 1..4×GOMAXPROCS are
 	// rejected with 400 instead of spawning unbounded goroutines.
 	Workers int `json:"workers,omitempty"`
-	// AnalyzeWorkers selects the per-analysis state-space parallelism
+	// AnalyzeWorkers caps the per-analysis state-space parallelism
 	// (see FlowRequestJSON.AnalyzeWorkers).
 	AnalyzeWorkers int `json:"analyzeWorkers,omitempty"`
 }

@@ -331,8 +331,10 @@ type ExplorerStats struct {
 	States     *Gauge
 	ArenaBytes *Gauge
 	TableSlots *Gauge
-	// ParallelRuns counts explorations that ran the sharded pipeline;
-	// ShardHandoffs the producer→shard batch hand-offs they made.
+	// ParallelRuns counts explorations promoted to the sharded pipeline
+	// (past the sequential kernel's promotion threshold, or started there
+	// by a large size hint); ShardHandoffs the producer→shard batch
+	// hand-offs they made.
 	// ShardStates samples the fullest shard's occupancy, exposing
 	// partition skew (compare against States/shard count).
 	ParallelRuns  *Counter
@@ -360,7 +362,7 @@ func NewExplorerStats(r *Registry) *ExplorerStats {
 		States:        r.Gauge("mamps_statespace_states", "Sampled states of the exploration in progress."),
 		ArenaBytes:    r.Gauge("mamps_statespace_arena_bytes", "Sampled state-arena bytes of the exploration in progress."),
 		TableSlots:    r.Gauge("mamps_statespace_table_slots", "Sampled open-addressing slots of the exploration in progress."),
-		ParallelRuns:  r.Counter("mamps_statespace_parallel_analyses_total", "Explorations run on the sharded parallel pipeline."),
+		ParallelRuns:  r.Counter("mamps_statespace_parallel_analyses_total", "Explorations promoted to the sharded parallel pipeline."),
 		ShardHandoffs: r.Counter("mamps_statespace_shard_handoffs_total", "Producer-to-shard batch hand-offs in parallel explorations."),
 		ShardStates:   r.Gauge("mamps_statespace_shard_states", "Sampled occupancy of the fullest seen-table shard."),
 	}

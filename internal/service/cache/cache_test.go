@@ -218,3 +218,41 @@ func TestAnalyzerMemoizesAndCancels(t *testing.T) {
 		t.Fatalf("nil-cache analyzer: %v", err)
 	}
 }
+
+// TestAnalyzerDeadlockReportPerTile: two deadlocking analyses that differ
+// only in which tile runs which schedule must each get their own
+// DeadlockReport back through the cache, not the report of whichever ran
+// first.
+func TestAnalyzerDeadlockReportPerTile(t *testing.T) {
+	g := sdf.NewGraph("dead")
+	a := g.AddActor("a", 1)
+	b := g.AddActor("b", 1)
+	g.Connect(a, b, 1, 1, 0)
+	g.Connect(b, a, 1, 1, 0)
+	onTiles := func(ta, tb string) statespace.Options {
+		return statespace.Options{Schedules: []statespace.Schedule{
+			{Tile: ta, Entries: []sdf.ActorID{a.ID}},
+			{Tile: tb, Entries: []sdf.ActorID{b.ID}},
+		}}
+	}
+	c := New(16)
+	an := Analyzer(c, context.Background())
+	for round := 0; round < 2; round++ {
+		for _, opt := range []statespace.Options{onTiles("t0", "t1"), onTiles("t1", "t0")} {
+			want, err := statespace.Analyze(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := an(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Deadlocked || got.DeadlockReport != want.DeadlockReport {
+				t.Errorf("round %d, a on %s: report %q, want %q", round, opt.Schedules[0].Tile, got.DeadlockReport, want.DeadlockReport)
+			}
+		}
+	}
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 2 {
+		t.Errorf("stats = %+v, want 2 hits 2 misses", st)
+	}
+}

@@ -112,17 +112,19 @@ func (h *Hasher) Graph(g *sdf.Graph) *Hasher {
 	return h.Strings(lines)
 }
 
-// Schedules appends static-order schedules as actor-name sequences. The
-// order of schedules in the list is canonicalized (sorted); the order of
-// entries within a schedule is semantic and preserved. Tile labels only
-// affect report text and are excluded.
+// Schedules appends static-order schedules as tile-labelled actor-name
+// sequences. The order of schedules in the list is canonicalized
+// (sorted); the order of entries within a schedule is semantic and
+// preserved. The tile label is content too: a deadlocked analysis names
+// the tiles in its DeadlockReport, so analyses that differ only in which
+// tile runs a schedule must not share a cached result.
 func (h *Hasher) Schedules(g *sdf.Graph, scheds []statespace.Schedule) *Hasher {
 	h.String("schedules")
 	lines := make([]string, 0, len(scheds))
 	for _, s := range scheds {
 		var lh Hasher
 		lh.h = sha256.New()
-		lh.Int(int64(len(s.Prologue)))
+		lh.String(s.Tile).Int(int64(len(s.Prologue)))
 		for _, id := range s.Prologue {
 			lh.String(g.Actor(id).Name)
 		}

@@ -157,11 +157,18 @@ func TestAnalysisKeySchedules(t *testing.T) {
 		t.Error("static-order reversal did not change the analysis key")
 	}
 
-	// Tile labels are presentation only.
+	// Tile labels are content: a deadlock report names them.
 	relabel := statespace.Schedule{Tile: "other", Entries: []sdf.ActorID{aID}}
-	if AnalysisKey(g, statespace.Options{Schedules: []statespace.Schedule{s1}}) !=
+	if AnalysisKey(g, statespace.Options{Schedules: []statespace.Schedule{s1}}) ==
 		AnalysisKey(g, statespace.Options{Schedules: []statespace.Schedule{relabel}}) {
-		t.Error("tile label influenced the analysis key")
+		t.Error("tile label did not influence the analysis key")
+	}
+	swapped := []statespace.Schedule{
+		{Tile: "t0", Entries: []sdf.ActorID{bID}},
+		{Tile: "t1", Entries: []sdf.ActorID{aID}},
+	}
+	if k12 == AnalysisKey(g, statespace.Options{Schedules: swapped}) {
+		t.Error("swapping the tiles of two schedules did not change the analysis key")
 	}
 
 	// Resource bounds and hooks are excluded.

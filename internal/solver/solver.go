@@ -86,7 +86,7 @@ type Options struct {
 	// hook, UseCA, weights, buffer sizing, disabled tiles). FixedBinding
 	// must be empty: the solver owns the binding.
 	MapOptions mapping.Options
-	// AnalyzeWorkers selects the state-space exploration parallelism of
+	// AnalyzeWorkers caps the state-space exploration parallelism of
 	// every candidate verification (statespace Options.Workers; results
 	// are bit-identical at any setting). Zero keeps the analysis
 	// default. Applied only to analyses that did not pick their own

@@ -24,6 +24,13 @@
 // insert totals. Hence StatesExplored (= Σ shard inserts = min hit index)
 // and every other Result field are bit-identical to the sequential kernel
 // at any worker count.
+//
+// An exploration only reaches this pipeline by promotion: it runs on the
+// sequential kernel until it has recorded promoteStates states (or starts
+// here when a size hint says it will be that large). The promoted states
+// are trajectory indices 0…start-1, all distinct, and each worker
+// re-inserts its share before any dispatched state, so the argument above
+// holds unchanged across the hand-off.
 package statespace
 
 import (
@@ -32,7 +39,6 @@ import (
 	"sync/atomic"
 
 	"mamps/internal/obs"
-	"mamps/internal/sdf"
 	"mamps/internal/statespace/shard"
 )
 
@@ -83,8 +89,17 @@ type shardRun struct {
 	_          [24]byte // keep adjacent shardRuns off one cache line
 }
 
+// publish mirrors the segment's sizes into the shard's atomics.
+func (sh *shardRun) publish() {
+	sh.states.Store(int64(sh.seg.Len()))
+	sh.arenaBytes.Store(int64(sh.seg.ArenaBytes()))
+	sh.slots.Store(int64(sh.seg.Slots()))
+}
+
 type parRun struct {
 	shards []shardRun
+	shift  uint           // shard index = hash >> shift
+	seq    *shard.Segment // promoted sequential segment; nil when started sharded
 	hit    atomic.Bool
 	wg     sync.WaitGroup
 }
@@ -92,6 +107,17 @@ type parRun struct {
 func (p *parRun) worker(si int) {
 	defer p.wg.Done()
 	sh := &p.shards[si]
+	if p.seq != nil {
+		// Re-insert this shard's share of the promoted states first: they
+		// precede every dispatched state in trajectory order and are
+		// distinct, so none of them hits.
+		p.seq.Each(func(h uint64, key []byte, v shard.Visit) {
+			if int(h>>p.shift) == si {
+				sh.seg.LookupOrInsert(h, key, v)
+			}
+		})
+		sh.publish()
+	}
 	for b := range sh.in {
 		start := uint32(0)
 		for i := range b.recs {
@@ -103,9 +129,7 @@ func (p *parRun) worker(si int) {
 				p.hit.Store(true)
 			}
 		}
-		sh.states.Store(int64(sh.seg.Len()))
-		sh.arenaBytes.Store(int64(sh.seg.ArenaBytes()))
-		sh.slots.Store(int64(sh.seg.Slots()))
+		sh.publish()
 		b.keys = b.keys[:0]
 		b.recs = b.recs[:0]
 		batchPool.Put(b)
@@ -196,21 +220,31 @@ func publishFinalParallel(tel *obs.ExplorerStats, p *parRun, handoffs int64, dea
 	}
 }
 
-// analyzeParallel explores the trajectory with `workers` hash-partitioned
-// seen-table shards. workers is a power of two in [2, maxShards]; the
-// result is bit-identical to the sequential kernel.
-func analyzeParallel(g *sdf.Graph, opt Options, q []int64, maxStates, workers int) (Result, error) {
-	var e explorer
-	if err := e.setup(g, opt, opt.ReferenceActor); err != nil {
-		return Result{}, err
-	}
+// analyzeParallel continues the exploration on `workers` hash-partitioned
+// seen-table shards from trajectory index start. workers is a power of two
+// in [2, maxShards]. At start 0 the pipeline runs from the first state with
+// a fresh hash seed. Otherwise e.table holds the sequential kernel's first
+// start states, all distinct: the producer keeps hashing with that
+// segment's seed and every worker first re-inserts the entries routed to
+// it, so each shard still sees its subset of the trajectory in trajectory
+// order. The caller keeps ownership of e.table; it is only read, and not
+// after the workers have drained. The result is bit-identical to the
+// sequential kernel.
+func (e *explorer) analyzeParallel(q []int64, maxStates, workers, start int) (Result, error) {
+	g, opt := e.g, e.opt
 	shift := uint(64)
 	for w := workers; w > 1; w >>= 1 {
 		shift--
 	}
-	seed := maphash.MakeSeed()
-	perShard := opt.SizeHint.States / workers
-	p := &parRun{shards: make([]shardRun, workers)}
+	p := &parRun{shards: make([]shardRun, workers), shift: shift}
+	var seed maphash.Seed
+	if start > 0 {
+		p.seq = e.table
+		seed = e.table.Seed()
+	} else {
+		seed = maphash.MakeSeed()
+	}
+	perShard := max(opt.SizeHint.States, 2*start) / workers
 	for i := range p.shards {
 		p.shards[i].seg = shard.Get(shard.Hint{States: perShard, KeyBytes: e.keyHint()})
 		p.shards[i].in = make(chan *batch, 4)
@@ -222,10 +256,9 @@ func analyzeParallel(g *sdf.Graph, opt Options, q []int64, maxStates, workers in
 
 	open := make([]*batch, workers)
 	var handoffs int64
-	var produced int64
 	tel := opt.Telemetry
 
-	for states := 0; states < maxStates; states++ {
+	for states := start; states < maxStates; states++ {
 		if e.zeroTimeErr != nil {
 			p.drain()
 			p.release(open)
@@ -249,7 +282,7 @@ func analyzeParallel(g *sdf.Graph, opt Options, q []int64, maxStates, workers in
 		}
 		key := e.stateKey()
 		h := maphash.Bytes(seed, key)
-		si := int(h >> shift)
+		si := int(h >> p.shift)
 		b := open[si]
 		if b == nil {
 			b = batchPool.Get().(*batch)
@@ -267,21 +300,20 @@ func analyzeParallel(g *sdf.Graph, opt Options, q []int64, maxStates, workers in
 			open[si] = nil
 			handoffs++
 		}
-		produced++
 
 		if len(e.events) == 0 {
 			// Nothing in flight and nothing could start: deadlock. Every
 			// state of a deadlocking trajectory is distinct (a revisit
 			// would imply the earlier occurrence's longer future), so the
 			// in-flight states all insert and the store size equals the
-			// produced count, as in the sequential kernel.
+			// trajectory length, as in the sequential kernel.
 			for si := range open {
 				if flush(p, open, si) {
 					handoffs++
 				}
 			}
 			p.drain()
-			res := Result{Deadlocked: true, DeadlockReport: e.deadlockReport(), StatesExplored: int(produced), TransientCycles: e.now, MaxTokens: e.maxTokens}
+			res := Result{Deadlocked: true, DeadlockReport: e.deadlockReport(), StatesExplored: states + 1, TransientCycles: e.now, MaxTokens: e.maxTokens}
 			publishFinalParallel(tel, p, handoffs, true, false)
 			p.release(open)
 			return res, nil
@@ -322,7 +354,7 @@ func analyzeParallel(g *sdf.Graph, opt Options, q []int64, maxStates, workers in
 		MaxTokens:        e.maxTokens,
 	}
 	if period > 0 && firings > 0 {
-		res.Throughput = float64(firings) / float64(q[opt.ReferenceActor]) / float64(period)
+		res.Throughput = float64(firings) / float64(q[e.ref]) / float64(period)
 	}
 	if firings == 0 {
 		res.Deadlocked = true

@@ -1,11 +1,19 @@
-// Parallel/sequential equivalence: the sharded pipeline must return
-// bit-identical Results at every worker count, on every termination path
-// (recurrence, deadlock-by-recurrence, deadlock-by-stall, budget
-// exceeded, interrupt).
+// Parallel/sequential equivalence: an exploration promoted to the sharded
+// pipeline must return bit-identical Results at every worker count and
+// every promotion point, on every termination path (recurrence,
+// deadlock by stall, budget exceeded, interrupt, zero-time error).
+//
+// Deadlock by recurrence (a recurrent state without reference firings)
+// has no case: between two equal states every channel's token balance is
+// zero, so on a connected consistent graph the firing counts of the
+// period are a multiple of the repetition vector, and either every actor
+// fired or none did, while each step of the trajectory completes at least
+// one firing. The branch is defensive, identical in both kernels.
 package statespace_test
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -104,6 +112,21 @@ func smallGraphCases() []equivalenceCase {
 			return g, statespace.Options{
 				Schedules: []statespace.Schedule{{Tile: "t0", Entries: []sdf.ActorID{b.ID, a.ID}}}}
 		}},
+		// stall drains 40 initial tokens through a and b before x, which
+		// needs 100 of them at once, blocks the cycle: a deadlock by stall
+		// after a transient of ~80 states.
+		{"stall", func(t *testing.T) (*sdf.Graph, statespace.Options) {
+			g := sdf.NewGraph("stall")
+			x := g.AddActor("x", 1)
+			a := g.AddActor("a", 2)
+			b := g.AddActor("b", 3)
+			a.MaxConcurrent = 1
+			b.MaxConcurrent = 1
+			g.Connect(x, a, 100, 1, 40)
+			g.Connect(a, b, 1, 1, 0)
+			g.Connect(b, x, 1, 100, 0)
+			return g, statespace.Options{ReferenceActor: b.ID}
+		}},
 	}
 }
 
@@ -142,71 +165,182 @@ func mjpegCases(t *testing.T) []equivalenceCase {
 
 var equivalenceWorkers = []int{2, 4, 8}
 
-func TestParallelMatchesSequential(t *testing.T) {
+// outcome is everything an analysis reports: its Result or error and the
+// deterministic telemetry counters.
+type outcome struct {
+	res                                      statespace.Result
+	err                                      error
+	states, analyses, deadlocks, interrupted int64
+	parallelRuns                             int64
+}
+
+func analyzeOutcome(g *sdf.Graph, opt statespace.Options) outcome {
+	tel := obs.NewExplorerStats(nil)
+	opt.Telemetry = tel
+	res, err := statespace.Analyze(g, opt)
+	return outcome{
+		res:          res,
+		err:          err,
+		states:       tel.StatesTotal.Value(),
+		analyses:     tel.Analyses.Value(),
+		deadlocks:    tel.Deadlocks.Value(),
+		interrupted:  tel.Interrupted.Value(),
+		parallelRuns: tel.ParallelRuns.Value(),
+	}
+}
+
+// terminationCases adds the budget-exceeded and interrupt paths on top of
+// the recurrence and stall cases: MJPEG under a budget of half
+// its trajectory, and pre-interrupted runs of a small graph and MJPEG.
+func terminationCases(t *testing.T) []equivalenceCase {
 	cases := append(smallGraphCases(), mjpegCases(t)...)
-	for _, c := range cases {
+	fsl := mjpegCases(t)[0].build
+	closed := make(chan struct{})
+	close(closed)
+	cases = append(cases,
+		equivalenceCase{"mjpeg-budget", func(t *testing.T) (*sdf.Graph, statespace.Options) {
+			g, opt := fsl(t)
+			opt.MaxStates = 1500
+			return g, opt
+		}},
+		equivalenceCase{"cycle-interrupted", func(t *testing.T) (*sdf.Graph, statespace.Options) {
+			g, opt := smallGraphCases()[0].build(t)
+			opt.Interrupt = closed
+			return g, opt
+		}},
+		equivalenceCase{"mjpeg-interrupted", func(t *testing.T) (*sdf.Graph, statespace.Options) {
+			g, opt := fsl(t)
+			opt.Interrupt = closed
+			return g, opt
+		}},
+	)
+	return cases
+}
+
+// promotionPoints are the forced promotion thresholds replayed against a
+// sequential trajectory of n states: sharded from the first state, after
+// one state, mid-trajectory, and never.
+// Points that coincide are replayed once.
+func promotionPoints(n int) []int {
+	pts := []int{0}
+	for _, p := range []int{1, n / 2, math.MaxInt} {
+		if p > pts[len(pts)-1] {
+			pts = append(pts, p)
+		}
+	}
+	return pts
+}
+
+// TestParallelMatchesSequential replays every case at every forced
+// promotion point and worker count and requires the sequential kernel's
+// exact Result (or error) and telemetry totals.
+func TestParallelMatchesSequential(t *testing.T) {
+	for _, c := range terminationCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			g, opt := c.build(t)
 			opt.Workers = 1
-			want, err := statespace.Analyze(g, opt)
-			if err != nil {
-				t.Fatal(err)
+			want := analyzeOutcome(g, opt)
+			if want.parallelRuns != 0 {
+				t.Fatalf("workers=1 promoted: ParallelRuns = %d", want.parallelRuns)
 			}
-			for _, w := range equivalenceWorkers {
-				opt.Workers = w
-				got, err := statespace.Analyze(g, opt)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", w, err)
+			n := want.res.StatesExplored
+			exceeded := want.err != nil && strings.Contains(want.err.Error(), "exceeded")
+			if exceeded {
+				n = opt.MaxStates
+			}
+			for _, at := range promotionPoints(n) {
+				// Every point inside the trajectory must really promote;
+				// a run over budget publishes no telemetry at all.
+				var promoted int64
+				if (at < n || at == 0) && !exceeded {
+					promoted = 1
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("workers=%d: result diverged\n got %+v\nwant %+v", w, got, want)
+				restore := statespace.SetPromoteStates(at)
+				for _, w := range equivalenceWorkers {
+					opt.Workers = w
+					got := analyzeOutcome(g, opt)
+					if got.parallelRuns != promoted {
+						t.Errorf("promote at %d, workers=%d: ParallelRuns = %d, want %d", at, w, got.parallelRuns, promoted)
+					}
+					got.parallelRuns = 0
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("promote at %d, workers=%d: diverged\n got %+v\nwant %+v", at, w, got, want)
+					}
 				}
+				restore()
 			}
 		})
 	}
 }
 
+// TestParallelZeroTimeError: an unbounded zero-time firing loop is
+// detected during setup, before the first state, so the error must come
+// out of the sharded pipeline (promotion at 0) as out of the sequential
+// kernel. One worker count suffices; each run spins the full burst limit.
+func TestParallelZeroTimeError(t *testing.T) {
+	g := sdf.NewGraph("zerotime")
+	a := g.AddActor("a", 0)
+	b := g.AddActor("b", 0)
+	g.Connect(a, b, 1, 1, 1)
+	g.Connect(b, a, 1, 1, 1)
+	want := analyzeOutcome(g, statespace.Options{Workers: 1})
+	if want.err == nil || !strings.Contains(want.err.Error(), "zero-time") {
+		t.Fatalf("sequential err = %v, want a zero-time loop error", want.err)
+	}
+	defer statespace.SetPromoteStates(0)()
+	if got := analyzeOutcome(g, statespace.Options{Workers: 2}); !reflect.DeepEqual(got, want) {
+		t.Errorf("sharded from state 0: diverged\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestParallelBudgetExceeded pins the budget boundary: at MaxStates equal
 // to the first-revisit index the sequential kernel errors, and so must
-// every parallel run, even though the revisit was "one state away".
+// every promoted run, even though the revisit was "one state away".
 func TestParallelBudgetExceeded(t *testing.T) {
 	g := sdf.NewGraph("cycle")
 	a := g.AddActor("a", 2)
 	b := g.AddActor("b", 3)
 	g.Connect(a, b, 1, 1, 0)
 	g.Connect(b, a, 1, 1, 1)
-	for _, w := range append([]int{1}, equivalenceWorkers...) {
-		_, err := statespace.Analyze(g, statespace.Options{MaxStates: 2, Workers: w})
-		if err == nil || !strings.Contains(err.Error(), "exceeded 2 states") {
-			t.Errorf("workers=%d: err = %v, want exceeded-states error", w, err)
+	for _, at := range promotionPoints(2) {
+		restore := statespace.SetPromoteStates(at)
+		for _, w := range append([]int{1}, equivalenceWorkers...) {
+			_, err := statespace.Analyze(g, statespace.Options{MaxStates: 2, Workers: w})
+			if err == nil || !strings.Contains(err.Error(), "exceeded 2 states") {
+				t.Errorf("promote at %d, workers=%d: err = %v, want exceeded-states error", at, w, err)
+			}
 		}
+		restore()
 	}
 }
 
-// TestParallelTelemetryStates checks that the parallel reduction accounts
-// states exactly like the sequential kernel: the per-analysis totals added
-// to StatesTotal must match at every worker count even though the
-// producer overruns the first revisit.
+// TestParallelTelemetryStates checks the promotion accounting: at the
+// default threshold an MJPEG-sized analysis stays sequential, and a
+// promoted one counts one parallel run with shard hand-offs and the
+// sequential kernel's state total, although the producer overruns the
+// first revisit.
 func TestParallelTelemetryStates(t *testing.T) {
-	cases := mjpegCases(t)
-	for _, c := range cases {
+	for _, c := range mjpegCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			g, opt := c.build(t)
 			opt.Workers = 1
-			seq := obs.NewExplorerStats(nil)
-			opt.Telemetry = seq
-			if _, err := statespace.Analyze(g, opt); err != nil {
-				t.Fatal(err)
-			}
+			seq := analyzeOutcome(g, opt)
 			for _, w := range equivalenceWorkers {
-				par := obs.NewExplorerStats(nil)
 				opt.Workers = w
+				if small := analyzeOutcome(g, opt); small.parallelRuns != 0 {
+					t.Errorf("workers=%d: default threshold promoted %d states", w, seq.states)
+				}
+				restore := statespace.SetPromoteStates(1)
+				par := obs.NewExplorerStats(nil)
 				opt.Telemetry = par
-				if _, err := statespace.Analyze(g, opt); err != nil {
+				_, err := statespace.Analyze(g, opt)
+				opt.Telemetry = nil
+				restore()
+				if err != nil {
 					t.Fatal(err)
 				}
-				if got, want := par.StatesTotal.Value(), seq.StatesTotal.Value(); got != want {
-					t.Errorf("workers=%d: StatesTotal = %d, want %d", w, got, want)
+				if got := par.StatesTotal.Value(); got != seq.states {
+					t.Errorf("workers=%d: StatesTotal = %d, want %d", w, got, seq.states)
 				}
 				if par.ParallelRuns.Value() != 1 {
 					t.Errorf("workers=%d: ParallelRuns = %d, want 1", w, par.ParallelRuns.Value())
@@ -219,43 +353,71 @@ func TestParallelTelemetryStates(t *testing.T) {
 	}
 }
 
-// TestParallelInterruptStorm interrupts parallel explorations at varying
-// points; run under -race it exercises producer/worker shutdown. Every
-// outcome must be either ErrInterrupted or the exact sequential result.
+// TestParallelSizeHintStartsSharded: a size hint at or above the
+// promotion threshold starts the exploration on the sharded pipeline;
+// one below it starts sequential and stays there on a small graph.
+func TestParallelSizeHintStartsSharded(t *testing.T) {
+	g, opt := smallGraphCases()[0].build(t)
+	opt.Workers = 2
+	for _, tc := range []struct {
+		hint int
+		want int64
+	}{{statespace.PromoteStates(), 1}, {statespace.PromoteStates() - 1, 0}} {
+		opt.SizeHint.States = tc.hint
+		if got := analyzeOutcome(g, opt).parallelRuns; got != tc.want {
+			t.Errorf("SizeHint.States=%d: ParallelRuns = %d, want %d", tc.hint, got, tc.want)
+		}
+	}
+}
+
+// TestParallelInterruptStorm interrupts explorations promoted part-way at
+// varying points; run under -race it exercises producer/worker shutdown,
+// during the hand-off too. Every outcome must be either ErrInterrupted
+// (counted as an interrupt, not an analysis) or the exact sequential
+// result.
 func TestParallelInterruptStorm(t *testing.T) {
 	g, opt := mjpegCases(t)[0].build(t)
 	opt.Workers = 1
+	begin := time.Now()
 	want, err := statespace.Analyze(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Interrupts land anywhere up to twice a sequential run's duration,
+	// so about half the runs complete, under -race too.
+	span := 2*time.Since(begin) + time.Microsecond
+	defer statespace.SetPromoteStates(want.StatesExplored / 4)()
 	rng := rand.New(rand.NewSource(7))
 	interrupted, completed := 0, 0
 	for i := 0; i < 40; i++ {
 		stop := make(chan struct{})
-		timer := time.AfterFunc(time.Duration(rng.Intn(12000))*time.Microsecond, func() { close(stop) })
+		timer := time.AfterFunc(time.Duration(rng.Int63n(int64(span))), func() { close(stop) })
 		opt.Workers = equivalenceWorkers[i%len(equivalenceWorkers)]
 		opt.Interrupt = stop
-		got, err := statespace.Analyze(g, opt)
+		got := analyzeOutcome(g, opt)
 		timer.Stop()
 		switch {
-		case errors.Is(err, statespace.ErrInterrupted):
+		case errors.Is(got.err, statespace.ErrInterrupted):
 			interrupted++
-		case err != nil:
-			t.Fatalf("iteration %d: %v", i, err)
+			if got.interrupted != 1 || got.analyses != 0 {
+				t.Fatalf("iteration %d: interrupted=%d analyses=%d, want 1 and 0", i, got.interrupted, got.analyses)
+			}
+		case got.err != nil:
+			t.Fatalf("iteration %d: %v", i, got.err)
 		default:
 			completed++
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("iteration %d: completed result diverged\n got %+v\nwant %+v", i, got, want)
+			if !reflect.DeepEqual(got.res, want) {
+				t.Fatalf("iteration %d: completed result diverged\n got %+v\nwant %+v", i, got.res, want)
 			}
 		}
 	}
 	t.Logf("interrupted=%d completed=%d", interrupted, completed)
 }
 
-// TestParallelOnCompleteSequential: OnComplete forces the sequential path
-// (the producer would overrun the first revisit and fire extra hooks), so
-// the hook must see exactly the sequential completion sequence.
+// TestParallelOnCompleteSequential: OnComplete forbids promotion (the
+// producer would overrun the first revisit and fire extra hooks), so the
+// hook must see exactly the sequential completion sequence even with the
+// threshold at zero.
 func TestParallelOnCompleteSequential(t *testing.T) {
 	build := smallGraphCases()[0].build
 	g, opt := build(t)
@@ -268,6 +430,7 @@ func TestParallelOnCompleteSequential(t *testing.T) {
 	}
 	wantSeq := append([]int64(nil), seq...)
 
+	defer statespace.SetPromoteStates(0)()
 	seq = seq[:0]
 	opt.Workers = 8
 	got, err := statespace.Analyze(g, opt)

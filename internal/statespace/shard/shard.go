@@ -7,13 +7,16 @@
 // hashes every packed state key once and routes it by the hash's top bits
 // to the worker owning that segment, so each segment is only ever touched
 // by one goroutine and needs no locks. The sequential kernel is the
-// one-segment special case.
+// one-segment special case; when it hands a large exploration over to the
+// sharded pipeline, Each replays its entries into the worker segments.
 //
 // Segments recycle through a size-classed pool: a released segment keeps
 // the capacity its last exploration grew to, so repeated analyses (buffer
 // minimization, DSE sweeps, the service) and concurrent shards reuse grown
-// storage instead of each cold-allocating. Arena doubling likewise releases
-// the outgrown buffer into the pool eagerly instead of waiting for GC.
+// storage instead of each cold-allocating; one spare per small class,
+// held outside the pool, makes the latest release visible from every P.
+// Arena doubling likewise releases the outgrown buffer into the pool
+// eagerly instead of waiting for GC.
 package shard
 
 import (
@@ -80,6 +83,18 @@ var (
 	classMask atomic.Uint32
 )
 
+// spare keeps the most recently released segment of each size class up
+// to spareClasses outside segPool. A sync.Pool keeps a released object in
+// the releasing P's private slot, which a Get on any other P cannot see,
+// and the sequential kernel releases one segment per analysis: without
+// the spare, an analysis that runs on another P than the previous one
+// regrows its segment from scratch. Larger classes stay pool-only, so the
+// storage of a huge exploration still goes back to the collector and at
+// most one segment of up to 4 MiB of arena per class is held outside it.
+const spareClasses = 11
+
+var spare [spareClasses]atomic.Pointer[Segment]
+
 // bufPool recycles raw arena buffers retired by growArena, so a doubling
 // in one shard reuses the buffer another shard (or a previous analysis)
 // outgrew.
@@ -102,22 +117,12 @@ func Get(h Hint) *Segment {
 	want := classFor(h.States * h.KeyBytes)
 	mask := classMask.Load()
 	for c := want; c < numClasses; c++ {
-		if mask&(1<<c) == 0 {
-			continue
-		}
-		if v := segPool[c].Get(); v != nil {
-			s := v.(*Segment)
-			s.Reset()
+		if s := take(c, mask); s != nil {
 			return s
 		}
 	}
 	for c := want - 1; c >= 0; c-- {
-		if mask&(1<<c) == 0 {
-			continue
-		}
-		if v := segPool[c].Get(); v != nil {
-			s := v.(*Segment)
-			s.Reset()
+		if s := take(c, mask); s != nil {
 			return s
 		}
 	}
@@ -135,10 +140,34 @@ func Get(h Hint) *Segment {
 	return s
 }
 
-// Release returns the segment to the pool. The caller must not touch it
+// take returns a recycled segment of class c, reset, or nil.
+func take(c int, mask uint32) *Segment {
+	if c < spareClasses && spare[c].Load() != nil {
+		if s := spare[c].Swap(nil); s != nil {
+			s.Reset()
+			return s
+		}
+	}
+	if mask&(1<<c) == 0 {
+		return nil
+	}
+	if v := segPool[c].Get(); v != nil {
+		s := v.(*Segment)
+		s.Reset()
+		return s
+	}
+	return nil
+}
+
+// Release returns the segment for reuse. The caller must not touch it
 // afterwards; nothing in an analysis Result aliases segment memory.
 func (s *Segment) Release() {
 	c := classFor(cap(s.arena))
+	if c < spareClasses {
+		if s = spare[c].Swap(s); s == nil {
+			return
+		}
+	}
 	segPool[c].Put(s)
 	orBit(&classMask, c)
 }
@@ -178,6 +207,15 @@ func (s *Segment) ArenaBytes() int { return len(s.arena) }
 
 // Slots is the current slot-array size.
 func (s *Segment) Slots() int { return len(s.slots) }
+
+// Each calls fn for every stored state in insertion order with its hash,
+// packed key and visit. The key aliases the arena: fn must not retain it.
+// Concurrent Each calls are safe while nothing inserts.
+func (s *Segment) Each(fn func(h uint64, key []byte, v Visit)) {
+	for j, h := range s.hashes {
+		fn(h, s.arena[s.offs[j]:s.offs[j+1]], s.visits[j])
+	}
+}
 
 // LookupOrInsert returns the stored visit and true when key (with
 // precomputed hash h) is already present; otherwise it records (key, v)

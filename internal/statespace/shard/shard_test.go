@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/binary"
+	"runtime"
 	"testing"
 )
 
@@ -133,4 +134,55 @@ func TestGetHonorsHint(t *testing.T) {
 		}
 	}
 	t.Errorf("no segment sized for the 100k-state hint after draining the pool")
+}
+
+// TestEachReplaysInsertionOrder: Each yields every stored state once, in
+// insertion order, with the hash, key and visit it was inserted with, so
+// a promoted exploration can redistribute a segment into shards.
+func TestEachReplaysInsertionOrder(t *testing.T) {
+	s := Get(Hint{})
+	defer s.Release()
+	const n = 3000 // crosses slot doublings: Each must not follow slot order
+	for i := 0; i < n; i++ {
+		k := key(i)
+		s.LookupOrInsert(s.Hash(k), k, Visit{Time: int64(i), Completions: int64(3 * i)})
+	}
+	i := 0
+	s.Each(func(h uint64, k []byte, v Visit) {
+		if want := key(i); string(k) != string(want) || h != s.Hash(want) {
+			t.Fatalf("entry %d: key %x hash %x, want %x %x", i, k, h, want, s.Hash(want))
+		}
+		if v.Time != int64(i) || v.Completions != int64(3*i) {
+			t.Fatalf("entry %d: visit %+v", i, v)
+		}
+		i++
+	})
+	if i != n {
+		t.Fatalf("Each yielded %d entries, want %d", i, n)
+	}
+}
+
+// TestReleasedSegmentReusedFromAnyP: the segment an analysis releases is
+// the one the next Get returns, even when the two run on different Ps
+// and collections have emptied the pool in between: the sequential kernel
+// releases a single segment per analysis, which a sync.Pool alone would
+// keep in the releasing P's private slot.
+func TestReleasedSegmentReusedFromAnyP(t *testing.T) {
+	h := Hint{States: 4000, KeyBytes: 16}
+	s := Get(h)
+	for i := 0; i < 10; i++ {
+		released := make(chan struct{})
+		go func() {
+			s.Release()
+			close(released)
+		}()
+		<-released
+		runtime.GC()
+		runtime.GC()
+		got := Get(h)
+		if got != s {
+			t.Fatalf("round %d: Get allocated a new segment instead of reusing the released one", i)
+		}
+	}
+	s.Release()
 }

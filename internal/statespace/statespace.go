@@ -84,22 +84,27 @@ type Options struct {
 	// hot loop's allocation-free guarantee.
 	Telemetry *obs.ExplorerStats
 
-	// Workers selects the exploration parallelism. 1 runs the sequential
-	// kernel — the legacy path, byte for byte. Larger values shard the
-	// seen-table by state-key hash across a bounded pool of goroutines
-	// (rounded down to a power of two, at most maxShards), with a
-	// deterministic reduction that keeps the Result bit-identical to the
-	// sequential kernel at every worker count. Zero selects
-	// min(GOMAXPROCS, maxShards). Values beyond 4×GOMAXPROCS are clamped;
-	// callers exposed to untrusted input should validate before calling.
-	// When OnComplete is set the analysis always runs sequentially: the
-	// parallel producer may overrun the first recurrent state by a few
-	// states before the hit is detected, which would fire extra hooks.
+	// Workers bounds the exploration parallelism. Every exploration
+	// starts on the sequential kernel; one that records promoteStates
+	// distinct states is handed to the sharded pipeline, which splits the
+	// seen-table by state-key hash across a pool of goroutines with a
+	// deterministic reduction, so the Result is bit-identical either way.
+	// Workers caps the shard count after promotion:
+	//   - 0: one shard per CPU, at most maxShards;
+	//   - 1: never promote (the sequential kernel throughout);
+	//   - ≥2: at most that many shards.
+	// Shard counts are rounded down to a power of two; values beyond
+	// 4×GOMAXPROCS are clamped, and callers exposed to untrusted input
+	// should validate before calling. When OnComplete is set the analysis
+	// never promotes: the parallel producer may overrun the first
+	// recurrent state by a few states before the hit is detected, which
+	// would fire extra hooks.
 	Workers int
 
 	// SizeHint pre-sizes the state store from prior knowledge (typically a
 	// warm-start cache's record of a structurally identical exploration),
-	// avoiding growth reallocations. It never changes the result.
+	// avoiding growth reallocations; a hint of at least promoteStates
+	// states starts the exploration sharded. It never changes the result.
 	SizeHint SizeHint
 }
 
@@ -316,6 +321,13 @@ type explorer struct {
 // simulates the deterministic trajectory saturates first.
 const maxShards = 8
 
+// promoteStates is the distinct-state count at which a sequential
+// exploration is handed to the sharded pipeline. Below it the pipeline's
+// goroutines and batch hand-offs cost more than the seen-table work they
+// offload (EXPERIMENTS.md E11 records the measured crossover). A variable
+// only so tests can force promotion points; it is never written otherwise.
+var promoteStates = 1 << 16
+
 // normalizeWorkers resolves Options.Workers: zero selects the automatic
 // default, absurd values are clamped, and the result is rounded down to a
 // power of two so the hash-partitioned shard routing is a shift.
@@ -341,8 +353,8 @@ func normalizeWorkers(w int) int {
 // actors scheduled); otherwise the exploration aborts with an error after
 // MaxStates states.
 //
-// The result is bit-identical at every Options.Workers setting; Workers=1
-// reproduces the original sequential kernel byte for byte.
+// The result is bit-identical at every Options.Workers setting, whether
+// or not the exploration is promoted to the sharded pipeline.
 func Analyze(g *sdf.Graph, opt Options) (Result, error) {
 	q, err := g.RepetitionVector()
 	if err != nil {
@@ -356,18 +368,28 @@ func Analyze(g *sdf.Graph, opt Options) (Result, error) {
 	if int(ref) >= g.NumActors() {
 		return Result{}, fmt.Errorf("statespace: reference actor %d out of range", ref)
 	}
-	if w := normalizeWorkers(opt.Workers); w > 1 && opt.OnComplete == nil {
-		return analyzeParallel(g, opt, q, maxStates, w)
-	}
 
 	var e explorer
 	if err := e.setup(g, opt, ref); err != nil {
 		return Result{}, err
 	}
+	promote, workers := -1, 1
+	if opt.OnComplete == nil {
+		workers = normalizeWorkers(opt.Workers)
+	}
+	if workers > 1 {
+		promote = promoteStates
+		if opt.SizeHint.States >= promote {
+			return e.analyzeParallel(q, maxStates, workers, 0)
+		}
+	}
 	e.table = shard.Get(shard.Hint{States: opt.SizeHint.States, KeyBytes: e.keyHint()})
 	defer e.table.Release()
 
 	for states := 0; states < maxStates; states++ {
+		if states == promote {
+			return e.analyzeParallel(q, maxStates, workers, states)
+		}
 		if e.zeroTimeErr != nil {
 			return Result{}, e.zeroTimeErr
 		}
