@@ -78,18 +78,15 @@ obs-agg-smoke:
 	@rm -rf /tmp/obs-agg-a /tmp/obs-agg-b /tmp/obs-agg-a.json /tmp/obs-agg-b.json
 	@echo "obs-agg-smoke: aggregated stats byte-identical across replays"
 
-# Parallel-equivalence smoke: explorations promoted to the sharded
-# explorer must return results bit-identical to the sequential kernel
-# (forced promotion points 0/1/mid/never x workers 2/4/8 over the full
-# equivalence corpus, MJPEG included, on every termination path) and
-# survive an interrupt storm, all under the race detector. Plus the
-# warm-start soundness suite: every reuse tier is cross-checked against a
-# cold analysis. Last, one untimed run of the ~600k-state benchmark keeps
-# the default-threshold promotion path compiling and executing.
+# Concurrency smoke: analyses running at once on goroutines (as in the
+# DSE worker pool and the service) must each return the result of a lone
+# run on every termination path, MJPEG included, and survive an interrupt
+# storm, all under the race detector. Plus the warm-start soundness suite
+# (every reuse tier cross-checked against a cold analysis) and the state
+# store's pool and spare.
 par-smoke:
 	$(GO) test -race -run 'TestParallel' ./internal/statespace
 	$(GO) test -race ./internal/statespace/warm ./internal/statespace/shard
-	$(GO) test -run '^$$' -bench StateSpaceLarge -benchtime=1x .
 
 # Fault-injection smoke: the reduced seeded conservativeness sweep plus
 # the degraded-mode recovery and resilience tests.

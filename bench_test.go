@@ -204,7 +204,7 @@ func BenchmarkStateSpaceThroughputMJPEG(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := statespace.Analyze(m.Expanded.Graph, statespace.Options{
-			Schedules: m.ExpandedSchedules, MaxStates: 1 << 22, Workers: 1,
+			Schedules: m.ExpandedSchedules, MaxStates: 1 << 22,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func BenchmarkStateSpaceStates(b *testing.B) {
 	states := 0
 	for i := 0; i < b.N; i++ {
 		r, err := statespace.Analyze(m.Expanded.Graph, statespace.Options{
-			Schedules: m.ExpandedSchedules, MaxStates: 1 << 22, Workers: 1,
+			Schedules: m.ExpandedSchedules, MaxStates: 1 << 22,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -249,11 +249,9 @@ func BenchmarkStateSpaceStates(b *testing.B) {
 // the slower last actor drains into its input channel before the
 // execution turns periodic. "narrow" (WCETs 5…5,6, 60k tokens) keeps
 // every token count in the two-byte key encoding; "wide" (WCETs 2…2,3,
-// 150k tokens) runs on the eight-byte fallback. "workers=1" pins the
-// sequential kernel; "auto" is the default dispatch, which promotes the
-// exploration to the sharded pipeline (one shard per CPU) once it is
-// large. The auto / workers=1 ratio is what keeps the sharded explorer in
-// the tree (EXPERIMENTS.md E11).
+// 150k tokens) runs on the eight-byte fallback. These are the sizes at
+// which a sharded explorer was measured and failed to win 1.5× on two
+// CPUs (EXPERIMENTS.md E11).
 func BenchmarkStateSpaceLarge(b *testing.B) {
 	for _, c := range []struct {
 		name       string
@@ -274,26 +272,21 @@ func BenchmarkStateSpaceLarge(b *testing.B) {
 			g.Connect(actors[i], actors[i+1], 1, 1, 0)
 		}
 		g.Connect(actors[len(actors)-1], actors[0], 1, 1, c.tokens)
-		for _, mode := range []struct {
-			name    string
-			workers int
-		}{{"workers=1", 1}, {"auto", 0}} {
-			b.Run(c.name+"/"+mode.name, func(b *testing.B) {
-				b.ReportAllocs()
-				states := 0
-				for i := 0; i < b.N; i++ {
-					r, err := statespace.Analyze(g, statespace.Options{Workers: mode.workers})
-					if err != nil {
-						b.Fatal(err)
-					}
-					states = r.StatesExplored
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			states := 0
+			for i := 0; i < b.N; i++ {
+				r, err := statespace.Analyze(g, statespace.Options{})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(states), "states/op")
-				if secs := b.Elapsed().Seconds(); secs > 0 {
-					b.ReportMetric(float64(states)*float64(b.N)/secs, "states/s")
-				}
-			})
-		}
+				states = r.StatesExplored
+			}
+			b.ReportMetric(float64(states), "states/op")
+			if secs := b.Elapsed().Seconds(); secs > 0 {
+				b.ReportMetric(float64(states)*float64(b.N)/secs, "states/s")
+			}
+		})
 	}
 }
 
@@ -315,7 +308,7 @@ func BenchmarkAnalyzeWarmStart(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := m.Expanded.Graph
-	sopt := statespace.Options{Schedules: m.ExpandedSchedules, MaxStates: 1 << 22, Workers: 1}
+	sopt := statespace.Options{Schedules: m.ExpandedSchedules, MaxStates: 1 << 22}
 	variant := func(scale int64, delta int64) *sdf.Graph {
 		vg := g.Clone()
 		for _, a := range vg.Actors() {

@@ -53,7 +53,7 @@ func main() {
 	inject := flag.String("inject", "", "fault scenario, e.g. 'seed=7;jitter=0.5;link=*@from=0@until=20000@stall=4;tile=tile1@cycle=50000'")
 	target := flag.Float64("target", 0, "throughput constraint (iterations/cycle) checked in degraded mode; 0: the original bound")
 	energyOut := flag.Bool("energy", false, "report the energy estimate of the mapping (worst-case fold; plus measured fold when executed)")
-	analyzeWorkers := flag.Int("analyze-workers", 0, "cap on state-space analysis shards: analyses start sequential and only large ones are promoted to the sharded explorer (0: one shard per CPU; 1: never promote; N≥2: at most N shards — every setting yields bit-identical results)")
+	analyzeWorkers := flag.Int("analyze-workers", 0, "ignored, kept for compatibility: every state-space analysis runs on the sequential kernel")
 	flag.Parse()
 
 	if (*appPath == "") == (*workload == "") {

@@ -56,13 +56,8 @@ type Config struct {
 	// MapOptions steer the SDF3 step.
 	MapOptions mapping.Options
 
-	// AnalyzeWorkers caps the state-space exploration parallelism of
-	// every throughput analysis the flow performs (statespace
-	// Options.Workers): analyses start sequential and only large ones
-	// are promoted to the sharded explorer; 1 never promotes, larger
-	// values cap the shard count, 0 keeps the analysis default (one
-	// shard per CPU). Results are bit-identical at every setting.
-	// Applied only where the analysis does not set its own worker count.
+	// AnalyzeWorkers is ignored: every state-space analysis runs on the
+	// sequential kernel. Kept so existing configurations still compile.
 	AnalyzeWorkers int
 
 	// Warm, if non-nil, routes the flow's analyses through the
@@ -206,32 +201,17 @@ func TelemetryAnalyzer(ctx context.Context, tel *obs.Set) func(*sdf.Graph, state
 	}
 }
 
-// wrapAnalyzer layers the flow-level analysis options onto an analyzer:
-// a default worker count (applied only when the analysis didn't choose
-// its own) and, outermost, the warm-start cache, so warm hits skip the
-// inner analyzer entirely while hint/miss tiers inherit the worker
-// count. Nil inner with nothing to add stays nil (mapping falls back to
-// statespace.Analyze directly).
-func wrapAnalyzer(inner func(*sdf.Graph, statespace.Options) (statespace.Result, error), workers int, wc *warm.Cache) func(*sdf.Graph, statespace.Options) (statespace.Result, error) {
-	if workers == 0 && wc == nil {
+// wrapAnalyzer layers the warm-start cache onto an analyzer, so warm hits
+// skip the inner analyzer entirely. Nil inner without a cache stays nil
+// (mapping falls back to statespace.Analyze directly).
+func wrapAnalyzer(inner func(*sdf.Graph, statespace.Options) (statespace.Result, error), wc *warm.Cache) func(*sdf.Graph, statespace.Options) (statespace.Result, error) {
+	if wc == nil {
 		return inner
 	}
 	if inner == nil {
 		inner = statespace.Analyze
 	}
-	if workers != 0 {
-		base := inner
-		inner = func(g *sdf.Graph, opt statespace.Options) (statespace.Result, error) {
-			if opt.Workers == 0 {
-				opt.Workers = workers
-			}
-			return base(g, opt)
-		}
-	}
-	if wc != nil {
-		inner = wc.Analyzer(inner)
-	}
-	return inner
+	return wc.Analyzer(inner)
 }
 
 // Run executes the flow without cancellation, on the system clock.
@@ -263,7 +243,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.MapOptions.Analyze == nil && (ctx.Done() != nil || cfg.Obs != nil) {
 		cfg.MapOptions.Analyze = TelemetryAnalyzer(ctx, cfg.Obs)
 	}
-	cfg.MapOptions.Analyze = wrapAnalyzer(cfg.MapOptions.Analyze, cfg.AnalyzeWorkers, cfg.Warm)
+	cfg.MapOptions.Analyze = wrapAnalyzer(cfg.MapOptions.Analyze, cfg.Warm)
 	flowScope := cfg.Obs.TraceOf().Scope("flow")
 	res := &Result{}
 	var stageSpan obs.Span

@@ -56,13 +56,9 @@ type FlowRequestJSON struct {
 	// TargetThroughput (iterations/cycle) is the constraint the degraded
 	// mode is checked against; zero checks against the original bound.
 	TargetThroughput float64 `json:"targetThroughput,omitempty"`
-	// AnalyzeWorkers caps the state-space exploration parallelism of the
-	// flow's throughput analyses. Every analysis starts on the
-	// sequential kernel; only one that grows large is promoted to the
-	// sharded explorer, with at most this many shards. 1 never promotes,
-	// N≥2 allows up to N shards, 0 takes the server default (itself 0 =
-	// one shard per CPU). Every setting yields bit-identical results.
-	// Values outside 1..4×GOMAXPROCS are rejected with 400.
+	// AnalyzeWorkers is accepted for compatibility and has no effect:
+	// every state-space analysis runs on the sequential kernel. Values
+	// outside 0..4×GOMAXPROCS are still rejected with 400.
 	AnalyzeWorkers int `json:"analyzeWorkers,omitempty"`
 }
 
@@ -73,8 +69,7 @@ type AnalyzeRequestJSON struct {
 	// TargetThroughput (iterations/cycle) additionally sizes buffers for
 	// the constraint when positive.
 	TargetThroughput float64 `json:"targetThroughput,omitempty"`
-	// AnalyzeWorkers caps the state-space exploration parallelism
-	// (see FlowRequestJSON.AnalyzeWorkers).
+	// AnalyzeWorkers has no effect (see FlowRequestJSON.AnalyzeWorkers).
 	AnalyzeWorkers int `json:"analyzeWorkers,omitempty"`
 }
 
@@ -95,8 +90,7 @@ type DSERequestJSON struct {
 	// (0 = the server default). Values outside 1..4×GOMAXPROCS are
 	// rejected with 400 instead of spawning unbounded goroutines.
 	Workers int `json:"workers,omitempty"`
-	// AnalyzeWorkers caps the per-analysis state-space parallelism
-	// (see FlowRequestJSON.AnalyzeWorkers).
+	// AnalyzeWorkers has no effect (see FlowRequestJSON.AnalyzeWorkers).
 	AnalyzeWorkers int `json:"analyzeWorkers,omitempty"`
 }
 

@@ -331,15 +331,6 @@ type ExplorerStats struct {
 	States     *Gauge
 	ArenaBytes *Gauge
 	TableSlots *Gauge
-	// ParallelRuns counts explorations promoted to the sharded pipeline
-	// (past the sequential kernel's promotion threshold, or started there
-	// by a large size hint); ShardHandoffs the producer→shard batch
-	// hand-offs they made.
-	// ShardStates samples the fullest shard's occupancy, exposing
-	// partition skew (compare against States/shard count).
-	ParallelRuns  *Counter
-	ShardHandoffs *Counter
-	ShardStates   *Gauge
 }
 
 // NewExplorerStats returns explorer counters registered under their
@@ -351,20 +342,16 @@ func NewExplorerStats(r *Registry) *ExplorerStats {
 			Analyses: &Counter{}, StatesTotal: &Counter{},
 			Deadlocks: &Counter{}, Interrupted: &Counter{},
 			States: &Gauge{}, ArenaBytes: &Gauge{}, TableSlots: &Gauge{},
-			ParallelRuns: &Counter{}, ShardHandoffs: &Counter{}, ShardStates: &Gauge{},
 		}
 	}
 	return &ExplorerStats{
-		Analyses:      r.Counter("mamps_statespace_analyses_total", "State-space explorations completed."),
-		StatesTotal:   r.Counter("mamps_statespace_states_total", "Distinct states explored, over all analyses."),
-		Deadlocks:     r.Counter("mamps_statespace_deadlocks_total", "Explorations that ended in deadlock."),
-		Interrupted:   r.Counter("mamps_statespace_interrupted_total", "Explorations aborted by cancellation."),
-		States:        r.Gauge("mamps_statespace_states", "Sampled states of the exploration in progress."),
-		ArenaBytes:    r.Gauge("mamps_statespace_arena_bytes", "Sampled state-arena bytes of the exploration in progress."),
-		TableSlots:    r.Gauge("mamps_statespace_table_slots", "Sampled open-addressing slots of the exploration in progress."),
-		ParallelRuns:  r.Counter("mamps_statespace_parallel_analyses_total", "Explorations promoted to the sharded parallel pipeline."),
-		ShardHandoffs: r.Counter("mamps_statespace_shard_handoffs_total", "Producer-to-shard batch hand-offs in parallel explorations."),
-		ShardStates:   r.Gauge("mamps_statespace_shard_states", "Sampled occupancy of the fullest seen-table shard."),
+		Analyses:    r.Counter("mamps_statespace_analyses_total", "State-space explorations completed."),
+		StatesTotal: r.Counter("mamps_statespace_states_total", "Distinct states explored, over all analyses."),
+		Deadlocks:   r.Counter("mamps_statespace_deadlocks_total", "Explorations that ended in deadlock."),
+		Interrupted: r.Counter("mamps_statespace_interrupted_total", "Explorations aborted by cancellation."),
+		States:      r.Gauge("mamps_statespace_states", "Sampled states of the exploration in progress."),
+		ArenaBytes:  r.Gauge("mamps_statespace_arena_bytes", "Sampled state-arena bytes of the exploration in progress."),
+		TableSlots:  r.Gauge("mamps_statespace_table_slots", "Sampled open-addressing slots of the exploration in progress."),
 	}
 }
 
@@ -381,8 +368,6 @@ func (e *ExplorerStats) AddTo(dst *ExplorerStats) {
 	dst.StatesTotal.Add(e.StatesTotal.Value())
 	dst.Deadlocks.Add(e.Deadlocks.Value())
 	dst.Interrupted.Add(e.Interrupted.Value())
-	dst.ParallelRuns.Add(e.ParallelRuns.Value())
-	dst.ShardHandoffs.Add(e.ShardHandoffs.Value())
 }
 
 // SimStats receives the platform simulator's counters, published once

@@ -198,10 +198,9 @@ type ConfigSummary struct {
 	UseCA            bool         `json:"useCA,omitempty"`
 	Faults           *faults.Spec `json:"faults,omitempty"`
 	TargetThroughput float64      `json:"targetThroughput,omitempty"`
-	// AnalyzeWorkers records the state-space parallelism the run was
-	// requested with. Provenance only: results and counters are
-	// bit-identical at every setting, so this never participates in
-	// baseline comparison keys.
+	// AnalyzeWorkers records the request's analyzeWorkers field.
+	// Provenance only: the field has no effect on the analysis, so this
+	// never participates in baseline comparison keys.
 	AnalyzeWorkers int `json:"analyzeWorkers,omitempty"`
 }
 

@@ -55,12 +55,10 @@ type Config struct {
 	// CacheCapacity bounds the analysis cache in entries (default
 	// cache.DefaultCapacity).
 	CacheCapacity int
-	// AnalyzeWorkers is the default cap on state-space exploration
-	// parallelism applied to jobs that do not request their own
-	// analyzeWorkers (statespace Options.Workers: analyses start
-	// sequential and only large ones are promoted to the sharded
-	// explorer; results are bit-identical at any setting). Zero keeps
-	// the analysis default of one shard per CPU.
+	// AnalyzeWorkers is ignored: every state-space analysis runs on the
+	// sequential kernel, and requests' analyzeWorkers fields are
+	// validated but have no effect. Kept so existing configurations
+	// still compile.
 	AnalyzeWorkers int
 	// WarmCapacity bounds the warm-start cache of prior explorations
 	// shared by non-recorded jobs (default 256 entries; negative

@@ -274,10 +274,10 @@ func TestRequestValidation(t *testing.T) {
 }
 
 // TestAnalyzeWorkersEquivalence pins the contract that justifies leaving
-// the worker count out of the content-hash cache keys: the same analyze
-// request answered at different analyzeWorkers settings (each on a fresh
-// server, so no cache short-circuits the comparison) is byte-for-byte
-// identical apart from request metadata.
+// analyzeWorkers out of the content-hash cache keys: the field has no
+// effect, so the same analyze request answered at different settings
+// (each on a fresh server, so no cache short-circuits the comparison) is
+// byte-for-byte identical apart from request metadata.
 func TestAnalyzeWorkersEquivalence(t *testing.T) {
 	body := `{"workload":` + smallMJPEG + `,"targetThroughput":1e-5}`
 	results := make([]modelio.AnalyzeResponseJSON, 0, 3)

@@ -52,7 +52,6 @@ import (
 	"mamps/internal/obs"
 	"mamps/internal/pareto"
 	"mamps/internal/sdf"
-	"mamps/internal/statespace"
 )
 
 // Mode selects what the search returns.
@@ -86,11 +85,9 @@ type Options struct {
 	// hook, UseCA, weights, buffer sizing, disabled tiles). FixedBinding
 	// must be empty: the solver owns the binding.
 	MapOptions mapping.Options
-	// AnalyzeWorkers caps the state-space exploration parallelism of
-	// every candidate verification (statespace Options.Workers; results
-	// are bit-identical at any setting). Zero keeps the analysis
-	// default. Applied only to analyses that did not pick their own
-	// worker count.
+	// AnalyzeWorkers is ignored: every candidate verification runs on
+	// the sequential state-space kernel. Kept so existing callers still
+	// compile.
 	AnalyzeWorkers int
 	// Energy calibrates the per-candidate energy report; nil selects
 	// energy.DefaultModel.
@@ -211,18 +208,6 @@ func Solve(ctx context.Context, app *appmodel.App, plat *arch.Platform, opt Opti
 	}
 	if len(opt.MapOptions.FixedBinding) != 0 {
 		return nil, fmt.Errorf("solver: MapOptions.FixedBinding must be empty (the solver owns the binding)")
-	}
-	if w := opt.AnalyzeWorkers; w != 0 {
-		inner := opt.MapOptions.Analyze
-		if inner == nil {
-			inner = statespace.Analyze
-		}
-		opt.MapOptions.Analyze = func(g *sdf.Graph, sopt statespace.Options) (statespace.Result, error) {
-			if sopt.Workers == 0 {
-				sopt.Workers = w
-			}
-			return inner(g, sopt)
-		}
 	}
 	q, err := app.Graph.RepetitionVector()
 	if err != nil {

@@ -1,22 +1,25 @@
-// Parallel/sequential equivalence: an exploration promoted to the sharded
-// pipeline must return bit-identical Results at every worker count and
-// every promotion point, on every termination path (recurrence,
-// deadlock by stall, budget exceeded, interrupt, zero-time error).
+// Concurrent analyses: the DSE worker pool and the service's job workers
+// run many analyses at once, and each draws its state store from, and
+// returns it to, the shard package's process-wide pool and spare. Every
+// analysis must still return exactly what it returns alone, on every
+// termination path (recurrence, deadlock by stall, budget exceeded,
+// interrupt), and telemetry shared between analyses must add up. make par-smoke runs these tests under the race detector.
 //
 // Deadlock by recurrence (a recurrent state without reference firings)
 // has no case: between two equal states every channel's token balance is
 // zero, so on a connected consistent graph the firing counts of the
 // period are a multiple of the repetition vector, and either every actor
 // fired or none did, while each step of the trajectory completes at least
-// one firing. The branch is defensive, identical in both kernels.
+// one firing. The branch is defensive.
 package statespace_test
 
 import (
 	"errors"
-	"math"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -28,8 +31,7 @@ import (
 	"mamps/internal/statespace"
 )
 
-// equivalenceCase is one (graph, options) pair replayed at several worker
-// counts.
+// equivalenceCase is one (graph, options) pair replayed concurrently.
 type equivalenceCase struct {
 	name  string
 	build func(t *testing.T) (*sdf.Graph, statespace.Options)
@@ -163,7 +165,36 @@ func mjpegCases(t *testing.T) []equivalenceCase {
 	return cases
 }
 
-var equivalenceWorkers = []int{2, 4, 8}
+// concurrency is the number of goroutines each test runs analyses on,
+// and rounds the analyses each goroutine runs.
+const (
+	concurrency = 4
+	rounds      = 3
+)
+
+// concurrently runs fn(goroutine, round) on concurrency goroutines,
+// rounds times each, and reports every error fn returns.
+func concurrently(t *testing.T, fn func(gi, round int) error) {
+	t.Helper()
+	var wg sync.WaitGroup
+	errs := make(chan error, concurrency*rounds)
+	for gi := 0; gi < concurrency; gi++ {
+		wg.Add(1)
+		go func(gi int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if err := fn(gi, r); err != nil {
+					errs <- fmt.Errorf("goroutine %d, round %d: %w", gi, r, err)
+				}
+			}
+		}(gi)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
 
 // outcome is everything an analysis reports: its Result or error and the
 // deterministic telemetry counters.
@@ -171,7 +202,6 @@ type outcome struct {
 	res                                      statespace.Result
 	err                                      error
 	states, analyses, deadlocks, interrupted int64
-	parallelRuns                             int64
 }
 
 func analyzeOutcome(g *sdf.Graph, opt statespace.Options) outcome {
@@ -179,19 +209,18 @@ func analyzeOutcome(g *sdf.Graph, opt statespace.Options) outcome {
 	opt.Telemetry = tel
 	res, err := statespace.Analyze(g, opt)
 	return outcome{
-		res:          res,
-		err:          err,
-		states:       tel.StatesTotal.Value(),
-		analyses:     tel.Analyses.Value(),
-		deadlocks:    tel.Deadlocks.Value(),
-		interrupted:  tel.Interrupted.Value(),
-		parallelRuns: tel.ParallelRuns.Value(),
+		res:         res,
+		err:         err,
+		states:      tel.StatesTotal.Value(),
+		analyses:    tel.Analyses.Value(),
+		deadlocks:   tel.Deadlocks.Value(),
+		interrupted: tel.Interrupted.Value(),
 	}
 }
 
-// terminationCases adds the budget-exceeded and interrupt paths on top of
-// the recurrence and stall cases: MJPEG under a budget of half
-// its trajectory, and pre-interrupted runs of a small graph and MJPEG.
+// terminationCases adds the budget-exceeded and interrupt paths on top
+// of the recurrence and stall cases: MJPEG under a budget of half its
+// trajectory, and pre-interrupted runs of a small graph and MJPEG.
 func terminationCases(t *testing.T) []equivalenceCase {
 	cases := append(smallGraphCases(), mjpegCases(t)...)
 	fsl := mjpegCases(t)[0].build
@@ -217,227 +246,160 @@ func terminationCases(t *testing.T) []equivalenceCase {
 	return cases
 }
 
-// promotionPoints are the forced promotion thresholds replayed against a
-// sequential trajectory of n states: sharded from the first state, after
-// one state, mid-trajectory, and never.
-// Points that coincide are replayed once.
-func promotionPoints(n int) []int {
-	pts := []int{0}
-	for _, p := range []int{1, n / 2, math.MaxInt} {
-		if p > pts[len(pts)-1] {
-			pts = append(pts, p)
-		}
-	}
-	return pts
-}
+// sizeHints are the SizeHint.States values the goroutines of a test
+// cycle through, so concurrent analyses draw differently sized segments
+// from the pool and spare. A hint never changes the result.
+var sizeHints = []int{0, 1 << 6, 1 << 12, 1 << 16}
 
-// TestParallelMatchesSequential replays every case at every forced
-// promotion point and worker count and requires the sequential kernel's
-// exact Result (or error) and telemetry totals.
+// TestParallelMatchesSequential runs every case on concurrent goroutines,
+// each with its own size hint, and requires the Result (or error) and
+// telemetry totals of the same analysis run alone.
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, c := range terminationCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			g, opt := c.build(t)
-			opt.Workers = 1
 			want := analyzeOutcome(g, opt)
-			if want.parallelRuns != 0 {
-				t.Fatalf("workers=1 promoted: ParallelRuns = %d", want.parallelRuns)
-			}
-			n := want.res.StatesExplored
-			exceeded := want.err != nil && strings.Contains(want.err.Error(), "exceeded")
-			if exceeded {
-				n = opt.MaxStates
-			}
-			for _, at := range promotionPoints(n) {
-				// Every point inside the trajectory must really promote;
-				// a run over budget publishes no telemetry at all.
-				var promoted int64
-				if (at < n || at == 0) && !exceeded {
-					promoted = 1
+			concurrently(t, func(gi, _ int) error {
+				o := opt
+				o.SizeHint.States = sizeHints[gi%len(sizeHints)]
+				if got := analyzeOutcome(g, o); !reflect.DeepEqual(got, want) {
+					return fmt.Errorf("size hint %d: diverged\n got %+v\nwant %+v", o.SizeHint.States, got, want)
 				}
-				restore := statespace.SetPromoteStates(at)
-				for _, w := range equivalenceWorkers {
-					opt.Workers = w
-					got := analyzeOutcome(g, opt)
-					if got.parallelRuns != promoted {
-						t.Errorf("promote at %d, workers=%d: ParallelRuns = %d, want %d", at, w, got.parallelRuns, promoted)
-					}
-					got.parallelRuns = 0
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("promote at %d, workers=%d: diverged\n got %+v\nwant %+v", at, w, got, want)
-					}
-				}
-				restore()
-			}
+				return nil
+			})
 		})
 	}
 }
 
-// TestParallelZeroTimeError: an unbounded zero-time firing loop is
-// detected during setup, before the first state, so the error must come
-// out of the sharded pipeline (promotion at 0) as out of the sequential
-// kernel. One worker count suffices; each run spins the full burst limit.
-func TestParallelZeroTimeError(t *testing.T) {
-	g := sdf.NewGraph("zerotime")
-	a := g.AddActor("a", 0)
-	b := g.AddActor("b", 0)
-	g.Connect(a, b, 1, 1, 1)
-	g.Connect(b, a, 1, 1, 1)
-	want := analyzeOutcome(g, statespace.Options{Workers: 1})
-	if want.err == nil || !strings.Contains(want.err.Error(), "zero-time") {
-		t.Fatalf("sequential err = %v, want a zero-time loop error", want.err)
-	}
-	defer statespace.SetPromoteStates(0)()
-	if got := analyzeOutcome(g, statespace.Options{Workers: 2}); !reflect.DeepEqual(got, want) {
-		t.Errorf("sharded from state 0: diverged\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// TestParallelBudgetExceeded pins the budget boundary: at MaxStates equal
-// to the first-revisit index the sequential kernel errors, and so must
-// every promoted run, even though the revisit was "one state away".
+// TestParallelBudgetExceeded pins the budget boundary under concurrency:
+// at MaxStates equal to the first-revisit index every analysis errors,
+// even though the revisit was "one state away", and the segment an
+// over-budget analysis releases serves the next analysis cleanly.
 func TestParallelBudgetExceeded(t *testing.T) {
 	g := sdf.NewGraph("cycle")
 	a := g.AddActor("a", 2)
 	b := g.AddActor("b", 3)
 	g.Connect(a, b, 1, 1, 0)
 	g.Connect(b, a, 1, 1, 1)
-	for _, at := range promotionPoints(2) {
-		restore := statespace.SetPromoteStates(at)
-		for _, w := range append([]int{1}, equivalenceWorkers...) {
-			_, err := statespace.Analyze(g, statespace.Options{MaxStates: 2, Workers: w})
-			if err == nil || !strings.Contains(err.Error(), "exceeded 2 states") {
-				t.Errorf("promote at %d, workers=%d: err = %v, want exceeded-states error", at, w, err)
-			}
-		}
-		restore()
+	want, err := statespace.Analyze(g, statespace.Options{})
+	if err != nil || want.StatesExplored != 2 {
+		t.Fatalf("unbounded run: %+v, %v; want 2 states", want, err)
 	}
+	concurrently(t, func(_, _ int) error {
+		_, err := statespace.Analyze(g, statespace.Options{MaxStates: 2})
+		if err == nil || !strings.Contains(err.Error(), "exceeded 2 states") {
+			return fmt.Errorf("err = %v, want exceeded-states error", err)
+		}
+		if got, err := statespace.Analyze(g, statespace.Options{}); err != nil || !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("after an over-budget run: %+v, %v; want %+v", got, err, want)
+		}
+		return nil
+	})
 }
 
-// TestParallelTelemetryStates checks the promotion accounting: at the
-// default threshold an MJPEG-sized analysis stays sequential, and a
-// promoted one counts one parallel run with shard hand-offs and the
-// sequential kernel's state total, although the producer overruns the
-// first revisit.
+// TestParallelTelemetryStates: concurrent MJPEG analyses publishing into
+// one shared ExplorerStats add up to exactly the per-analysis totals.
 func TestParallelTelemetryStates(t *testing.T) {
 	for _, c := range mjpegCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			g, opt := c.build(t)
-			opt.Workers = 1
-			seq := analyzeOutcome(g, opt)
-			for _, w := range equivalenceWorkers {
-				opt.Workers = w
-				if small := analyzeOutcome(g, opt); small.parallelRuns != 0 {
-					t.Errorf("workers=%d: default threshold promoted %d states", w, seq.states)
-				}
-				restore := statespace.SetPromoteStates(1)
-				par := obs.NewExplorerStats(nil)
-				opt.Telemetry = par
+			one := analyzeOutcome(g, opt)
+			if one.err != nil {
+				t.Fatal(one.err)
+			}
+			shared := obs.NewExplorerStats(nil)
+			opt.Telemetry = shared
+			concurrently(t, func(_, _ int) error {
 				_, err := statespace.Analyze(g, opt)
-				opt.Telemetry = nil
-				restore()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := par.StatesTotal.Value(); got != seq.states {
-					t.Errorf("workers=%d: StatesTotal = %d, want %d", w, got, seq.states)
-				}
-				if par.ParallelRuns.Value() != 1 {
-					t.Errorf("workers=%d: ParallelRuns = %d, want 1", w, par.ParallelRuns.Value())
-				}
-				if par.ShardHandoffs.Value() == 0 {
-					t.Errorf("workers=%d: no shard hand-offs recorded", w)
-				}
+				return err
+			})
+			const n = concurrency * rounds
+			if got := shared.StatesTotal.Value(); got != n*one.states {
+				t.Errorf("StatesTotal = %d, want %d×%d", got, n, one.states)
+			}
+			if got := shared.Analyses.Value(); got != n {
+				t.Errorf("Analyses = %d, want %d", got, n)
+			}
+			if got := shared.Deadlocks.Value(); got != n*one.deadlocks {
+				t.Errorf("Deadlocks = %d, want %d", got, n*one.deadlocks)
+			}
+			if got := shared.Interrupted.Value(); got != 0 {
+				t.Errorf("Interrupted = %d, want 0", got)
 			}
 		})
 	}
 }
 
-// TestParallelSizeHintStartsSharded: a size hint at or above the
-// promotion threshold starts the exploration on the sharded pipeline;
-// one below it starts sequential and stays there on a small graph.
-func TestParallelSizeHintStartsSharded(t *testing.T) {
-	g, opt := smallGraphCases()[0].build(t)
-	opt.Workers = 2
-	for _, tc := range []struct {
-		hint int
-		want int64
-	}{{statespace.PromoteStates(), 1}, {statespace.PromoteStates() - 1, 0}} {
-		opt.SizeHint.States = tc.hint
-		if got := analyzeOutcome(g, opt).parallelRuns; got != tc.want {
-			t.Errorf("SizeHint.States=%d: ParallelRuns = %d, want %d", tc.hint, got, tc.want)
-		}
-	}
-}
-
-// TestParallelInterruptStorm interrupts explorations promoted part-way at
-// varying points; run under -race it exercises producer/worker shutdown,
-// during the hand-off too. Every outcome must be either ErrInterrupted
-// (counted as an interrupt, not an analysis) or the exact sequential
-// result.
+// TestParallelInterruptStorm interrupts concurrent MJPEG analyses at
+// random points. Every outcome must be either ErrInterrupted (counted as
+// an interrupt, not an analysis) or the exact result of a lone run, and
+// the shared telemetry must count each outcome once.
 func TestParallelInterruptStorm(t *testing.T) {
 	g, opt := mjpegCases(t)[0].build(t)
-	opt.Workers = 1
 	begin := time.Now()
 	want, err := statespace.Analyze(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Interrupts land anywhere up to twice a sequential run's duration,
-	// so about half the runs complete, under -race too.
-	span := 2*time.Since(begin) + time.Microsecond
-	defer statespace.SetPromoteStates(want.StatesExplored / 4)()
-	rng := rand.New(rand.NewSource(7))
-	interrupted, completed := 0, 0
-	for i := 0; i < 40; i++ {
+	// Interrupts land anywhere up to twice a lone run's duration, so a
+	// good share of the runs complete, under -race too.
+	span := int64(2*time.Since(begin) + time.Microsecond)
+	shared := obs.NewExplorerStats(nil)
+	opt.Telemetry = shared
+	var mu sync.Mutex
+	interrupted, completed := int64(0), int64(0)
+	rngs := make([]*rand.Rand, concurrency)
+	for i := range rngs {
+		rngs[i] = rand.New(rand.NewSource(int64(7 + i)))
+	}
+	concurrently(t, func(gi, _ int) error {
 		stop := make(chan struct{})
-		timer := time.AfterFunc(time.Duration(rng.Int63n(int64(span))), func() { close(stop) })
-		opt.Workers = equivalenceWorkers[i%len(equivalenceWorkers)]
-		opt.Interrupt = stop
-		got := analyzeOutcome(g, opt)
-		timer.Stop()
+		timer := time.AfterFunc(time.Duration(rngs[gi].Int63n(span)), func() { close(stop) })
+		defer timer.Stop()
+		o := opt
+		o.Interrupt = stop
+		got, err := statespace.Analyze(g, o)
+		mu.Lock()
+		defer mu.Unlock()
 		switch {
-		case errors.Is(got.err, statespace.ErrInterrupted):
+		case errors.Is(err, statespace.ErrInterrupted):
 			interrupted++
-			if got.interrupted != 1 || got.analyses != 0 {
-				t.Fatalf("iteration %d: interrupted=%d analyses=%d, want 1 and 0", i, got.interrupted, got.analyses)
-			}
-		case got.err != nil:
-			t.Fatalf("iteration %d: %v", i, got.err)
+		case err != nil:
+			return err
 		default:
 			completed++
-			if !reflect.DeepEqual(got.res, want) {
-				t.Fatalf("iteration %d: completed result diverged\n got %+v\nwant %+v", i, got.res, want)
+			if !reflect.DeepEqual(got, want) {
+				return fmt.Errorf("completed result diverged\n got %+v\nwant %+v", got, want)
 			}
 		}
+		return nil
+	})
+	if shared.Interrupted.Value() != interrupted || shared.Analyses.Value() != completed {
+		t.Errorf("telemetry interrupted=%d analyses=%d, want %d and %d",
+			shared.Interrupted.Value(), shared.Analyses.Value(), interrupted, completed)
 	}
 	t.Logf("interrupted=%d completed=%d", interrupted, completed)
 }
 
-// TestParallelOnCompleteSequential: OnComplete forbids promotion (the
-// producer would overrun the first revisit and fire extra hooks), so the
-// hook must see exactly the sequential completion sequence even with the
-// threshold at zero.
+// TestParallelOnCompleteSequential: the OnComplete hook of each
+// concurrent analysis sees exactly the completion sequence of a lone run
+// of that analysis, no more and no fewer.
 func TestParallelOnCompleteSequential(t *testing.T) {
-	build := smallGraphCases()[0].build
-	g, opt := build(t)
-	var seq []int64
-	opt.OnComplete = func(a sdf.ActorID, now int64) { seq = append(seq, int64(a)<<32|now) }
-	opt.Workers = 1
+	g, opt := smallGraphCases()[0].build(t)
+	var wantSeq []int64
+	opt.OnComplete = func(a sdf.ActorID, now int64) { wantSeq = append(wantSeq, int64(a)<<32|now) }
 	want, err := statespace.Analyze(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSeq := append([]int64(nil), seq...)
-
-	defer statespace.SetPromoteStates(0)()
-	seq = seq[:0]
-	opt.Workers = 8
-	got, err := statespace.Analyze(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(seq, wantSeq) {
-		t.Errorf("OnComplete run diverged between Workers=1 and Workers=8")
-	}
+	concurrently(t, func(_, _ int) error {
+		var seq []int64
+		o := opt
+		o.OnComplete = func(a sdf.ActorID, now int64) { seq = append(seq, int64(a)<<32|now) }
+		got, err := statespace.Analyze(g, o)
+		if err != nil || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(seq, wantSeq) {
+			return fmt.Errorf("diverged: %+v, %v, %d completions; want %+v, %d completions", got, err, len(seq), want, len(wantSeq))
+		}
+		return nil
+	})
 }

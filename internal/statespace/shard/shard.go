@@ -1,22 +1,16 @@
 // Package shard provides the state store of the state-space explorer: an
 // open-addressing hash segment over an append-only packed-key arena.
 // Collisions are resolved by byte comparison, so the segment never stores
-// per-state heap objects or string keys.
-//
-// A Segment is the unit of sharding for parallel exploration: the producer
-// hashes every packed state key once and routes it by the hash's top bits
-// to the worker owning that segment, so each segment is only ever touched
-// by one goroutine and needs no locks. The sequential kernel is the
-// one-segment special case; when it hands a large exploration over to the
-// sharded pipeline, Each replays its entries into the worker segments.
+// per-state heap objects or string keys. Each analysis owns one segment,
+// touched only by its goroutine, so a segment needs no locks.
 //
 // Segments recycle through a size-classed pool: a released segment keeps
-// the capacity its last exploration grew to, so repeated analyses (buffer
-// minimization, DSE sweeps, the service) and concurrent shards reuse grown
-// storage instead of each cold-allocating; one spare per small class,
-// held outside the pool, makes the latest release visible from every P.
-// Arena doubling likewise releases the outgrown buffer into the pool
-// eagerly instead of waiting for GC.
+// the capacity its last exploration grew to, so repeated and concurrent
+// analyses (buffer minimization, DSE sweeps, the service) reuse grown
+// storage instead of each cold-allocating; a small spare held outside the
+// pool makes the latest releases visible from every P. Arena doubling
+// likewise releases the outgrown buffer into the pool eagerly instead of
+// waiting for GC.
 package shard
 
 import (
@@ -44,8 +38,7 @@ type Hint struct {
 }
 
 // Segment is one open-addressing hash segment over an append-only state
-// arena. It is not safe for concurrent use; parallel exploration gives
-// each worker exclusive ownership of its segment.
+// arena. It is not safe for concurrent use.
 type Segment struct {
 	seed   maphash.Seed
 	mask   uint64
@@ -83,20 +76,27 @@ var (
 	classMask atomic.Uint32
 )
 
-// spare keeps the most recently released segment of each size class up
-// to spareClasses outside segPool. A sync.Pool keeps a released object in
-// the releasing P's private slot, which a Get on any other P cannot see,
-// and the sequential kernel releases one segment per analysis: without
-// the spare, an analysis that runs on another P than the previous one
-// regrows its segment from scratch. Larger classes stay pool-only, so the
-// storage of a huge exploration still goes back to the collector and at
-// most one segment of up to 4 MiB of arena per class is held outside it.
-const spareClasses = 11
+// spare holds the most recently released segment of each size class
+// outside segPool, at most spareBytes of whole-segment memory (arena plus
+// slot, hash, offset and visit arrays; see footprint) in total. A
+// sync.Pool keeps a released object in the releasing P's private slot,
+// which a Get on any other P cannot see, and each analysis releases a
+// single segment: without the spare, an analysis that runs on another P
+// than the previous one regrows its segment from scratch. The latest
+// release always enters the spare, evicting the largest other spares to
+// the pool when the budget requires; a segment larger than the whole
+// budget goes to the pool only, so the storage of a large exploration
+// still goes back to the collector.
+const spareBytes = 16 << 20
 
-var spare [spareClasses]atomic.Pointer[Segment]
+var spare struct {
+	mu    sync.Mutex
+	segs  [numClasses]*Segment
+	bytes int // Σ footprint of segs
+}
 
 // bufPool recycles raw arena buffers retired by growArena, so a doubling
-// in one shard reuses the buffer another shard (or a previous analysis)
+// in one analysis reuses the buffer another (or a previous) analysis
 // outgrew.
 var (
 	bufPool [numClasses]sync.Pool
@@ -126,6 +126,11 @@ func Get(h Hint) *Segment {
 			return s
 		}
 	}
+	return newSegment(h)
+}
+
+// newSegment allocates an empty segment sized for the hint.
+func newSegment(h Hint) *Segment {
 	s := &Segment{seed: maphash.MakeSeed()}
 	slots := 1 << 10
 	for slots*3 < h.States*4 {
@@ -140,13 +145,19 @@ func Get(h Hint) *Segment {
 	return s
 }
 
-// take returns a recycled segment of class c, reset, or nil.
+// take returns a recycled segment of class c, reset, or nil: the spare
+// first, then the pool.
 func take(c int, mask uint32) *Segment {
-	if c < spareClasses && spare[c].Load() != nil {
-		if s := spare[c].Swap(nil); s != nil {
-			s.Reset()
-			return s
-		}
+	spare.mu.Lock()
+	s := spare.segs[c]
+	if s != nil {
+		spare.segs[c] = nil
+		spare.bytes -= s.footprint()
+	}
+	spare.mu.Unlock()
+	if s != nil {
+		s.Reset()
+		return s
 	}
 	if mask&(1<<c) == 0 {
 		return nil
@@ -162,14 +173,44 @@ func take(c int, mask uint32) *Segment {
 // Release returns the segment for reuse. The caller must not touch it
 // afterwards; nothing in an analysis Result aliases segment memory.
 func (s *Segment) Release() {
+	if s.footprint() > spareBytes {
+		s.pool()
+		return
+	}
+	var out [numClasses]*Segment // displaced spares, pooled after unlocking
 	c := classFor(cap(s.arena))
-	if c < spareClasses {
-		if s = spare[c].Swap(s); s == nil {
-			return
+	spare.mu.Lock()
+	out[c] = spare.segs[c]
+	spare.segs[c] = s
+	spare.bytes += s.footprint() - out[c].footprint()
+	for big := numClasses - 1; spare.bytes > spareBytes; big-- {
+		if x := spare.segs[big]; x != nil && big != c {
+			out[big], spare.segs[big] = x, nil
+			spare.bytes -= x.footprint()
 		}
 	}
+	spare.mu.Unlock()
+	for _, x := range out {
+		if x != nil {
+			x.pool()
+		}
+	}
+}
+
+// pool puts the segment into segPool under its size class.
+func (s *Segment) pool() {
+	c := classFor(cap(s.arena))
 	segPool[c].Put(s)
 	orBit(&classMask, c)
+}
+
+// footprint is the bytes held by the segment's backing arrays; zero for
+// nil.
+func (s *Segment) footprint() int {
+	if s == nil {
+		return 0
+	}
+	return cap(s.arena) + 4*cap(s.slots) + 8*cap(s.hashes) + 4*cap(s.offs) + 16*cap(s.visits)
 }
 
 // orBit sets bit c in m (compare-and-swap loop; atomic Or needs go1.23).
@@ -191,13 +232,8 @@ func (s *Segment) Reset() {
 	s.hashes = s.hashes[:0]
 }
 
-// Hash returns the segment's hash of key. Parallel exploration hashes with
-// the producer's seed instead and passes the result to every segment, so
-// routing and probing agree on one hash per key.
+// Hash returns the segment's hash of key, to pass to LookupOrInsert.
 func (s *Segment) Hash(key []byte) uint64 { return maphash.Bytes(s.seed, key) }
-
-// Seed exposes the segment's hash seed for producers that hash centrally.
-func (s *Segment) Seed() maphash.Seed { return s.seed }
 
 // Len is the number of distinct states stored.
 func (s *Segment) Len() int { return len(s.visits) }
@@ -207,15 +243,6 @@ func (s *Segment) ArenaBytes() int { return len(s.arena) }
 
 // Slots is the current slot-array size.
 func (s *Segment) Slots() int { return len(s.slots) }
-
-// Each calls fn for every stored state in insertion order with its hash,
-// packed key and visit. The key aliases the arena: fn must not retain it.
-// Concurrent Each calls are safe while nothing inserts.
-func (s *Segment) Each(fn func(h uint64, key []byte, v Visit)) {
-	for j, h := range s.hashes {
-		fn(h, s.arena[s.offs[j]:s.offs[j+1]], s.visits[j])
-	}
-}
 
 // LookupOrInsert returns the stored visit and true when key (with
 // precomputed hash h) is already present; otherwise it records (key, v)
@@ -250,9 +277,8 @@ func (s *Segment) LookupOrInsert(h uint64, key []byte, v Visit) (Visit, bool) {
 
 // growArena doubles the arena. Doubling (instead of append's shrinking
 // growth factor) bounds re-copies; routing the buffers through the pool
-// means the outgrown buffer is released eagerly for the next doubling —
-// under parallel exploration every shard doubles on a similar schedule,
-// so one shard's retired buffer becomes another's replacement.
+// means the outgrown buffer is released eagerly for the next doubling,
+// in this or a concurrent analysis.
 func (s *Segment) growArena(need int) {
 	nc := 2 * cap(s.arena)
 	if nc < 1<<minClassBits {

@@ -136,32 +136,6 @@ func TestGetHonorsHint(t *testing.T) {
 	t.Errorf("no segment sized for the 100k-state hint after draining the pool")
 }
 
-// TestEachReplaysInsertionOrder: Each yields every stored state once, in
-// insertion order, with the hash, key and visit it was inserted with, so
-// a promoted exploration can redistribute a segment into shards.
-func TestEachReplaysInsertionOrder(t *testing.T) {
-	s := Get(Hint{})
-	defer s.Release()
-	const n = 3000 // crosses slot doublings: Each must not follow slot order
-	for i := 0; i < n; i++ {
-		k := key(i)
-		s.LookupOrInsert(s.Hash(k), k, Visit{Time: int64(i), Completions: int64(3 * i)})
-	}
-	i := 0
-	s.Each(func(h uint64, k []byte, v Visit) {
-		if want := key(i); string(k) != string(want) || h != s.Hash(want) {
-			t.Fatalf("entry %d: key %x hash %x, want %x %x", i, k, h, want, s.Hash(want))
-		}
-		if v.Time != int64(i) || v.Completions != int64(3*i) {
-			t.Fatalf("entry %d: visit %+v", i, v)
-		}
-		i++
-	})
-	if i != n {
-		t.Fatalf("Each yielded %d entries, want %d", i, n)
-	}
-}
-
 // TestReleasedSegmentReusedFromAnyP: the segment an analysis releases is
 // the one the next Get returns, even when the two run on different Ps
 // and collections have emptied the pool in between: the sequential kernel
@@ -169,7 +143,7 @@ func TestEachReplaysInsertionOrder(t *testing.T) {
 // keep in the releasing P's private slot.
 func TestReleasedSegmentReusedFromAnyP(t *testing.T) {
 	h := Hint{States: 4000, KeyBytes: 16}
-	s := Get(h)
+	s := newSegment(h) // not Get: a recycled one could exceed the spare budget
 	for i := 0; i < 10; i++ {
 		released := make(chan struct{})
 		go func() {
@@ -185,4 +159,36 @@ func TestReleasedSegmentReusedFromAnyP(t *testing.T) {
 		}
 	}
 	s.Release()
+}
+
+// TestSpareBudget: the segments held outside the pool never take more
+// than spareBytes of whole-segment memory together, the latest release
+// that fits the budget is always held, and a segment larger than the
+// budget is never held.
+func TestSpareBudget(t *testing.T) {
+	var segs []*Segment
+	for states := 1 << 8; states <= 1<<19; states *= 2 {
+		segs = append(segs, newSegment(Hint{States: states, KeyBytes: 16}))
+	}
+	if big := segs[len(segs)-1]; big.footprint() <= spareBytes {
+		t.Fatalf("largest test segment takes %d bytes, want more than %d", big.footprint(), spareBytes)
+	}
+	// Release largest first, so the budget forces evictions.
+	for i := len(segs) - 1; i >= 0; i-- {
+		s := segs[i]
+		s.Release()
+		spare.mu.Lock()
+		sum, held := 0, false
+		for _, x := range spare.segs {
+			sum += x.footprint()
+			held = held || x == s
+		}
+		if sum != spare.bytes || sum > spareBytes {
+			t.Errorf("spare holds %d bytes (accounted %d), budget %d", sum, spare.bytes, spareBytes)
+		}
+		if fits := s.footprint() <= spareBytes; held != fits {
+			t.Errorf("latest release of %d bytes: held %v, want %v", s.footprint(), held, fits)
+		}
+		spare.mu.Unlock()
+	}
 }

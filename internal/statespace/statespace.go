@@ -25,7 +25,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 
 	"mamps/internal/obs"
@@ -84,27 +83,9 @@ type Options struct {
 	// hot loop's allocation-free guarantee.
 	Telemetry *obs.ExplorerStats
 
-	// Workers bounds the exploration parallelism. Every exploration
-	// starts on the sequential kernel; one that records promoteStates
-	// distinct states is handed to the sharded pipeline, which splits the
-	// seen-table by state-key hash across a pool of goroutines with a
-	// deterministic reduction, so the Result is bit-identical either way.
-	// Workers caps the shard count after promotion:
-	//   - 0: one shard per CPU, at most maxShards;
-	//   - 1: never promote (the sequential kernel throughout);
-	//   - ≥2: at most that many shards.
-	// Shard counts are rounded down to a power of two; values beyond
-	// 4×GOMAXPROCS are clamped, and callers exposed to untrusted input
-	// should validate before calling. When OnComplete is set the analysis
-	// never promotes: the parallel producer may overrun the first
-	// recurrent state by a few states before the hit is detected, which
-	// would fire extra hooks.
-	Workers int
-
 	// SizeHint pre-sizes the state store from prior knowledge (typically a
 	// warm-start cache's record of a structurally identical exploration),
-	// avoiding growth reallocations; a hint of at least promoteStates
-	// states starts the exploration sharded. It never changes the result.
+	// avoiding growth reallocations. It never changes the result.
 	SizeHint SizeHint
 }
 
@@ -316,45 +297,11 @@ type explorer struct {
 	table     *shard.Segment
 }
 
-// maxShards bounds the number of seen-table segments (and so the worker
-// pool) of a parallel exploration: beyond this the single producer that
-// simulates the deterministic trajectory saturates first.
-const maxShards = 8
-
-// promoteStates is the distinct-state count at which a sequential
-// exploration is handed to the sharded pipeline. Below it the pipeline's
-// goroutines and batch hand-offs cost more than the seen-table work they
-// offload (EXPERIMENTS.md E11 records the measured crossover). A variable
-// only so tests can force promotion points; it is never written otherwise.
-var promoteStates = 1 << 16
-
-// normalizeWorkers resolves Options.Workers: zero selects the automatic
-// default, absurd values are clamped, and the result is rounded down to a
-// power of two so the hash-partitioned shard routing is a shift.
-func normalizeWorkers(w int) int {
-	if limit := 4 * runtime.GOMAXPROCS(0); w > limit {
-		w = limit
-	}
-	if w <= 0 {
-		w = min(runtime.GOMAXPROCS(0), maxShards)
-	}
-	if w > maxShards {
-		w = maxShards
-	}
-	for w&(w-1) != 0 {
-		w &= w - 1 // round down to a power of two
-	}
-	return w
-}
-
 // Analyze explores the self-timed state space of g and returns its
 // worst-case throughput. The graph must be consistent. Execution must be
 // bounded (strongly connected graph, or buffer back-edges present, or all
 // actors scheduled); otherwise the exploration aborts with an error after
 // MaxStates states.
-//
-// The result is bit-identical at every Options.Workers setting, whether
-// or not the exploration is promoted to the sharded pipeline.
 func Analyze(g *sdf.Graph, opt Options) (Result, error) {
 	q, err := g.RepetitionVector()
 	if err != nil {
@@ -373,23 +320,10 @@ func Analyze(g *sdf.Graph, opt Options) (Result, error) {
 	if err := e.setup(g, opt, ref); err != nil {
 		return Result{}, err
 	}
-	promote, workers := -1, 1
-	if opt.OnComplete == nil {
-		workers = normalizeWorkers(opt.Workers)
-	}
-	if workers > 1 {
-		promote = promoteStates
-		if opt.SizeHint.States >= promote {
-			return e.analyzeParallel(q, maxStates, workers, 0)
-		}
-	}
 	e.table = shard.Get(shard.Hint{States: opt.SizeHint.States, KeyBytes: e.keyHint()})
 	defer e.table.Release()
 
 	for states := 0; states < maxStates; states++ {
-		if states == promote {
-			return e.analyzeParallel(q, maxStates, workers, states)
-		}
 		if e.zeroTimeErr != nil {
 			return Result{}, e.zeroTimeErr
 		}
@@ -469,10 +403,8 @@ func (e *explorer) deadlockReport() string {
 
 // setup flattens the graph and schedules into the dense explorer runtime
 // and runs the start fixpoint to the first stable instant. It does not
-// create the state store: the sequential path owns one segment, the
-// parallel path one per shard. A method on a caller-owned value (rather
-// than a constructor) so the sequential path keeps its explorer on the
-// stack.
+// create the state store. A method on a caller-owned value (rather than a
+// constructor) so Analyze keeps its explorer on the stack.
 func (e *explorer) setup(g *sdf.Graph, opt Options, ref sdf.ActorID) error {
 	*e = explorer{g: g, opt: opt, ref: ref}
 
