@@ -81,12 +81,11 @@ obs-agg-smoke:
 # Concurrency smoke: analyses running at once on goroutines (as in the
 # DSE worker pool and the service) must each return the result of a lone
 # run on every termination path, MJPEG included, and survive an interrupt
-# storm, all under the race detector. Plus the warm-start soundness suite
-# (every reuse tier cross-checked against a cold analysis) and the state
-# store's pool and spare.
+# storm, all under the race detector. Plus the state store's pool and
+# spare.
 par-smoke:
 	$(GO) test -race -run 'TestParallel' ./internal/statespace
-	$(GO) test -race ./internal/statespace/warm ./internal/statespace/shard
+	$(GO) test -race ./internal/statespace/shard
 
 # Fault-injection smoke: the reduced seeded conservativeness sweep plus
 # the degraded-mode recovery and resilience tests.

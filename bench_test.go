@@ -38,10 +38,10 @@ import (
 	"mamps/internal/platgen"
 	"mamps/internal/sdf"
 	"mamps/internal/service"
+	"mamps/internal/service/cache"
 	"mamps/internal/sim"
 	"mamps/internal/solver"
 	"mamps/internal/statespace"
-	"mamps/internal/statespace/warm"
 )
 
 // benchCfg is a slightly smaller workload than the experiment default so
@@ -290,14 +290,11 @@ func BenchmarkStateSpaceLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeWarmStart measures the warm-start tiers against cold
-// analysis on the MJPEG mapped graph: an exact repeat, a uniformly
-// scaled-WCET variant (both answered arithmetically, no exploration) and
-// a one-WCET-delta variant. The delta variant's first request runs cold
-// (pre-sized by the structural hint) and is then cached, so its steady
-// state — what the loop measures — is the exact tier, which is the point
-// of warm-starting an iterative design loop.
-func BenchmarkAnalyzeWarmStart(b *testing.B) {
+// BenchmarkAnalyzeMemo measures the service's analysis memo
+// (cache.Analyzer) on the MJPEG 5-tile FSL mapped graph: "cold" runs the
+// exploration through an empty memo every iteration, "hit" answers a
+// primed memo, so its cost is the content key plus the lookup.
+func BenchmarkAnalyzeMemo(b *testing.B) {
 	cfg, _ := mjpegAppForBench(b)
 	p, err := arch.DefaultTemplate().Generate("p", 5, arch.FSL)
 	if err != nil {
@@ -309,34 +306,28 @@ func BenchmarkAnalyzeWarmStart(b *testing.B) {
 	}
 	g := m.Expanded.Graph
 	sopt := statespace.Options{Schedules: m.ExpandedSchedules, MaxStates: 1 << 22}
-	variant := func(scale int64, delta int64) *sdf.Graph {
-		vg := g.Clone()
-		for _, a := range vg.Actors() {
-			a.ExecTime *= scale
-		}
-		vg.Actors()[0].ExecTime += delta
-		return vg
-	}
-	run := func(b *testing.B, analyze func(*sdf.Graph, statespace.Options) (statespace.Result, error), vg *sdf.Graph) {
+	ctx := context.Background()
+	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := analyze(vg, sopt); err != nil {
+			if _, err := cache.Analyzer(cache.New(1), ctx)(g, sopt); err != nil {
 				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("cold", func(b *testing.B) { run(b, statespace.Analyze, g) })
-	warmed := func(b *testing.B) warm.AnalyzeFunc {
-		an := warm.New(8, nil).Analyzer(statespace.Analyze)
+	})
+	b.Run("hit", func(b *testing.B) {
+		an := cache.Analyzer(cache.New(1), ctx)
 		if _, err := an(g, sopt); err != nil {
 			b.Fatal(err)
 		}
-		return an
-	}
-	b.Run("exact", func(b *testing.B) { run(b, warmed(b), g) })
-	b.Run("scaled", func(b *testing.B) { run(b, warmed(b), variant(3, 0)) })
-	b.Run("hint-1wcet-delta", func(b *testing.B) { run(b, warmed(b), variant(1, 7)) })
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := an(g, sopt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkHSDFConversion(b *testing.B) {

@@ -56,7 +56,7 @@ func main() {
 	runlogMax := flag.Int("runlog-max-records", 10000, "run registry retention: max records kept (0 = unlimited)")
 	runlogAge := flag.Duration("runlog-max-age", 0, "run registry retention: max record age (0 = unlimited)")
 	analyzeWorkers := flag.Int("analyze-workers", 0, "ignored, kept for compatibility: every state-space analysis runs on the sequential kernel")
-	warmCap := flag.Int("warm-entries", 0, "warm-start analysis cache capacity (0: default 256, negative: disable)")
+	warmCap := flag.Int("warm-entries", 0, "ignored, kept for compatibility: the analysis cache (-cache-entries) is the one analysis memo")
 	traceRetention := flag.Bool("trace-retention", false, "tail-based trace retention: keep traces only for degraded/deadlocked/slow/regressed/sampled runs")
 	traceSlowQ := flag.Float64("trace-slow-quantile", 0, "retention: keep traces slower than this quantile of their graph key's history (0: default 0.95)")
 	traceMinHist := flag.Int("trace-min-history", 0, "retention: keep every trace until a key has this many runs (0: default 20)")

@@ -16,7 +16,6 @@ package corpus
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"time"
 
 	"mamps/internal/appmodel"
@@ -31,7 +30,6 @@ import (
 	"mamps/internal/service/cache"
 	"mamps/internal/solver"
 	"mamps/internal/statespace"
-	"mamps/internal/statespace/warm"
 )
 
 // Options configures a corpus replay.
@@ -111,7 +109,6 @@ func Entries() []Entry {
 		mjpegEntry("mjpeg-fsl", arch.FSL),
 		mjpegEntry("mjpeg-noc", arch.NoC),
 		solverEntry("mjpeg-solver"),
-		warmEntry("warmstart"),
 		deadlockEntry("deadlock"),
 	}
 }
@@ -296,78 +293,6 @@ func solverEntry(name string) Entry {
 				Tiles: 3, Interconnect: arch.FSL.String(),
 			},
 			Counters: runlog.CountersFrom(set),
-		}, nil, nil
-	}}
-}
-
-// warmEntry replays a fixed request sequence through a private warm-start
-// cache and pins its reuse decisions: a cold miss, an exact repeat, a
-// uniformly scaled variant, a single-WCET delta (hint tier) and a refused
-// deadlock scaling (bailout). Every warm result is compared bit for bit
-// against a cold analysis of the same request — a divergence is unsound
-// reuse and fails the entry outright (an explicit error, not just counter
-// drift), while a silently changed reuse decision shows up as warm-counter
-// drift against the checked-in baseline.
-func warmEntry(name string) Entry {
-	return Entry{Name: name, Kind: "analysis", Run: func(opt Options) (runlog.Record, []runlog.Artifact, error) {
-		build := func(w0, w1, w2 int64, tokens int) (*sdf.Graph, statespace.Options) {
-			g := sdf.NewGraph("warmpipe")
-			a := g.AddActor("a", w0)
-			b := g.AddActor("b", w1)
-			c := g.AddActor("c", w2)
-			g.Connect(a, b, 1, 1, 0)
-			g.Connect(b, c, 1, 1, 0)
-			g.Connect(c, a, 1, 1, tokens)
-			perturbGraph(g, opt.PerturbWCET)
-			return g, statespace.Options{}
-		}
-		deadlock := func(w int64) (*sdf.Graph, statespace.Options) {
-			g := sdf.NewGraph("warmdead")
-			a := g.AddActor("a", w)
-			b := g.AddActor("b", w)
-			g.Connect(a, b, 1, 1, 0)
-			g.Connect(b, a, 1, 1, 0)
-			perturbGraph(g, opt.PerturbWCET)
-			return g, statespace.Options{}
-		}
-		stats := obs.NewWarmStats(nil)
-		analyze := warm.New(16, stats).Analyzer(statespace.Analyze)
-		requests := []func() (*sdf.Graph, statespace.Options){
-			func() (*sdf.Graph, statespace.Options) { return build(3, 5, 2, 4) },  // cold miss
-			func() (*sdf.Graph, statespace.Options) { return build(3, 5, 2, 4) },  // exact hit
-			func() (*sdf.Graph, statespace.Options) { return build(9, 15, 6, 4) }, // scaled hit (×3)
-			func() (*sdf.Graph, statespace.Options) { return build(3, 5, 7, 4) },  // hint (unrelated WCETs)
-			func() (*sdf.Graph, statespace.Options) { return deadlock(1) },        // cold deadlock
-			func() (*sdf.Graph, statespace.Options) { return deadlock(2) },        // refused scaling -> bailout
-		}
-		var bound float64
-		for i, req := range requests {
-			wg, wopt := req()
-			got, err := analyze(wg, wopt)
-			if err != nil {
-				return runlog.Record{}, nil, fmt.Errorf("warm request %d: %w", i, err)
-			}
-			cg, copt := req()
-			want, err := statespace.Analyze(cg, copt)
-			if err != nil {
-				return runlog.Record{}, nil, fmt.Errorf("cold request %d: %w", i, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				return runlog.Record{}, nil, fmt.Errorf(
-					"warm-start reuse is UNSOUND: request %d warm result %+v != cold result %+v", i, got, want)
-			}
-			if i == 0 {
-				bound = got.Throughput
-			}
-		}
-		return runlog.Record{
-			Kind:     "analysis",
-			App:      name,
-			Corpus:   name,
-			GraphKey: cache.GraphKey(func() *sdf.Graph { g, _ := build(3, 5, 2, 4); return g }()),
-			Outcome:  "ok",
-			Bound:    bound,
-			Counters: runlog.CountersFrom(&obs.Set{Warm: stats}),
 		}, nil, nil
 	}}
 }

@@ -34,7 +34,6 @@ import (
 	"mamps/internal/sdf"
 	"mamps/internal/sim"
 	"mamps/internal/statespace"
-	"mamps/internal/statespace/warm"
 	"mamps/internal/trace"
 	"mamps/internal/wcet"
 )
@@ -59,13 +58,6 @@ type Config struct {
 	// AnalyzeWorkers is ignored: every state-space analysis runs on the
 	// sequential kernel. Kept so existing configurations still compile.
 	AnalyzeWorkers int
-
-	// Warm, if non-nil, routes the flow's analyses through the
-	// warm-start cache: identical or WCET-scaled repeats of a prior
-	// exploration are served arithmetically, structural near-misses
-	// pre-size the state store. Sound-or-cold: results are bit-identical
-	// to cold analysis.
-	Warm *warm.Cache
 
 	// Iterations to execute on the platform; zero skips execution (and
 	// the Expected analysis).
@@ -201,19 +193,6 @@ func TelemetryAnalyzer(ctx context.Context, tel *obs.Set) func(*sdf.Graph, state
 	}
 }
 
-// wrapAnalyzer layers the warm-start cache onto an analyzer, so warm hits
-// skip the inner analyzer entirely. Nil inner without a cache stays nil
-// (mapping falls back to statespace.Analyze directly).
-func wrapAnalyzer(inner func(*sdf.Graph, statespace.Options) (statespace.Result, error), wc *warm.Cache) func(*sdf.Graph, statespace.Options) (statespace.Result, error) {
-	if wc == nil {
-		return inner
-	}
-	if inner == nil {
-		inner = statespace.Analyze
-	}
-	return wc.Analyzer(inner)
-}
-
 // Run executes the flow without cancellation, on the system clock.
 func Run(cfg Config) (*Result, error) { return RunContext(context.Background(), cfg) }
 
@@ -243,7 +222,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.MapOptions.Analyze == nil && (ctx.Done() != nil || cfg.Obs != nil) {
 		cfg.MapOptions.Analyze = TelemetryAnalyzer(ctx, cfg.Obs)
 	}
-	cfg.MapOptions.Analyze = wrapAnalyzer(cfg.MapOptions.Analyze, cfg.Warm)
 	flowScope := cfg.Obs.TraceOf().Scope("flow")
 	res := &Result{}
 	var stageSpan obs.Span

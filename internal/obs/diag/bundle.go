@@ -35,7 +35,7 @@ type Bundle struct {
 	Events        []Event `json:"events"`
 
 	// Counters carries the process's kernel counter/gauge values at
-	// capture time (explorer, simulator, solver, warm-start, service).
+	// capture time (explorer, simulator, solver, service).
 	Counters map[string]int64 `json:"counters,omitempty"`
 	// SLO is the burn-rate board snapshot.
 	SLO []slo.State `json:"slo,omitempty"`

@@ -476,55 +476,12 @@ func (s *SolverStats) AddTo(dst *SolverStats) {
 	dst.Verifications.Add(s.Verifications.Value())
 }
 
-// WarmStats receives the warm-start analysis cache's counters: how often
-// a prior exploration was reused (and at which tier) versus analyzed
-// cold. Create with NewWarmStats.
-type WarmStats struct {
-	// Exact counts full-result reuse (identical graph, schedules and
-	// reference actor); Scaled counts results transformed from a prior
-	// exploration whose WCETs differ by one exact rational factor; Hint
-	// counts cold analyses accelerated by a structural size hint.
-	Exact  *Counter
-	Scaled *Counter
-	Hint   *Counter
-	// Misses counts analyses with no structural match; Bailouts counts
-	// requests the cache refused to serve (side-effecting options) and
-	// reuse attempts abandoned because soundness could not be proven.
-	Misses   *Counter
-	Bailouts *Counter
-}
+// WarmStats is an empty counter group kept so callers of the retired
+// warm-start cache still compile; it registers no series.
+type WarmStats struct{}
 
-// NewWarmStats returns warm-start counters registered under their
-// canonical mamps_warmstart_* names; a nil registry yields unregistered
-// but fully functional metrics.
-func NewWarmStats(r *Registry) *WarmStats {
-	if r == nil {
-		return &WarmStats{
-			Exact: &Counter{}, Scaled: &Counter{}, Hint: &Counter{},
-			Misses: &Counter{}, Bailouts: &Counter{},
-		}
-	}
-	return &WarmStats{
-		Exact:    r.Counter("mamps_warmstart_exact_hits_total", "Analyses served verbatim from a prior exploration."),
-		Scaled:   r.Counter("mamps_warmstart_scaled_hits_total", "Analyses transformed from a prior exploration by an exact WCET scaling."),
-		Hint:     r.Counter("mamps_warmstart_hint_hits_total", "Cold analyses pre-sized from a structurally matching prior exploration."),
-		Misses:   r.Counter("mamps_warmstart_misses_total", "Analyses with no reusable prior exploration."),
-		Bailouts: r.Counter("mamps_warmstart_bailouts_total", "Reuse attempts abandoned because soundness could not be proven."),
-	}
-}
-
-// AddTo adds this group's counter values into dst. Nil source or
-// destination is a no-op.
-func (w *WarmStats) AddTo(dst *WarmStats) {
-	if w == nil || dst == nil {
-		return
-	}
-	dst.Exact.Add(w.Exact.Value())
-	dst.Scaled.Add(w.Scaled.Value())
-	dst.Hint.Add(w.Hint.Value())
-	dst.Misses.Add(w.Misses.Value())
-	dst.Bailouts.Add(w.Bailouts.Value())
-}
+// NewWarmStats returns an empty WarmStats; the registry is ignored.
+func NewWarmStats(*Registry) *WarmStats { return &WarmStats{} }
 
 // Set bundles the telemetry destinations of one run: a span trace and
 // the kernel counter groups. Any field may be nil to disable that part;
@@ -534,7 +491,6 @@ type Set struct {
 	Explorer *ExplorerStats
 	Sim      *SimStats
 	Solver   *SolverStats
-	Warm     *WarmStats
 }
 
 // TraceOf returns the set's trace, tolerating a nil set.
@@ -567,12 +523,4 @@ func (s *Set) SolverOf() *SolverStats {
 		return nil
 	}
 	return s.Solver
-}
-
-// WarmOf returns the set's warm-start stats, tolerating a nil set.
-func (s *Set) WarmOf() *WarmStats {
-	if s == nil {
-		return nil
-	}
-	return s.Warm
 }

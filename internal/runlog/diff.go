@@ -75,13 +75,6 @@ type Diff struct {
 	FaultEvents    Delta `json:"faultEvents"`
 	SolverNodes    Delta `json:"solverNodes"`
 	SolverPruned   Delta `json:"solverPruned"`
-	// WarmHits and WarmMisses compare the warm-start cache's reuse
-	// decisions (exact + scaled + hint vs. misses + bailouts): for a
-	// replayed request sequence these are deterministic, so any drift
-	// means the reuse policy changed — which must be reviewed, because
-	// an over-eager policy is how unsound reuse would first manifest.
-	WarmHits   Delta `json:"warmHits"`
-	WarmMisses Delta `json:"warmMisses"`
 
 	// Stages compares the per-stage wall times (present in both runs).
 	Stages []StageDelta `json:"stages,omitempty"`
@@ -106,12 +99,6 @@ func Compare(a, b *Record) Diff {
 		FaultEvents:     delta(float64(a.Counters.FaultEvents), float64(b.Counters.FaultEvents)),
 		SolverNodes:     delta(float64(a.Counters.SolverNodes), float64(b.Counters.SolverNodes)),
 		SolverPruned:    delta(float64(a.Counters.SolverPruned), float64(b.Counters.SolverPruned)),
-		WarmHits: delta(
-			float64(a.Counters.WarmExact+a.Counters.WarmScaled+a.Counters.WarmHint),
-			float64(b.Counters.WarmExact+b.Counters.WarmScaled+b.Counters.WarmHint)),
-		WarmMisses: delta(
-			float64(a.Counters.WarmMisses+a.Counters.WarmBailouts),
-			float64(b.Counters.WarmMisses+b.Counters.WarmBailouts)),
 	}
 	bSteps := make(map[string]float64, len(b.Steps))
 	for _, s := range b.Steps {
@@ -220,17 +207,6 @@ func compareToBaseline(base, rec *Record, tol Tolerances) *Regression {
 	if d.SolverNodes.Changed(tol.SolverNodes) {
 		reason("solver nodes expanded drifted %+.4g%% (%.0f -> %.0f, tolerance %g%%; search order or bound changed)",
 			d.SolverNodes.Rel*100, d.SolverNodes.A, d.SolverNodes.B, tol.SolverNodes*100)
-	}
-	// Warm-start reuse decisions are replay-deterministic: compared at
-	// zero tolerance, so a silently changed reuse policy (the precursor
-	// of unsound reuse) fails loudly rather than passing on luck.
-	if d.WarmHits.Changed(0) {
-		reason("warm-start hits drifted (%.0f -> %.0f exact+scaled+hint; reuse policy changed — verify soundness before accepting)",
-			d.WarmHits.A, d.WarmHits.B)
-	}
-	if d.WarmMisses.Changed(0) {
-		reason("warm-start misses drifted (%.0f -> %.0f misses+bailouts; reuse policy changed — verify soundness before accepting)",
-			d.WarmMisses.A, d.WarmMisses.B)
 	}
 	return reg
 }

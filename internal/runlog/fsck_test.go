@@ -351,3 +351,40 @@ func TestFsckEmptyAndMissing(t *testing.T) {
 		t.Fatalf("fsck of empty dir: %+v", rep)
 	}
 }
+
+// parentWarmLine is an index line as written before the warm-start cache
+// was retired: the old warmstart corpus entry's record, carrying the
+// warm-start tier counters that nothing writes any more.
+const parentWarmLine = `{"id":"r000001-6c16e57e","seq":1,"time":"2026-08-08T12:00:00Z","kind":"analysis","app":"warmstart","graphKey":"6c16e57e01666205c025213ea96c177923bf27d9c7a0b996df4283d468ca590c","corpus":"warmstart","baselineKey":"corpus/warmstart","outcome":"ok","config":{},"boundThroughput":0.4,"counters":{"warmExact":1,"warmScaled":1,"warmHint":2,"warmMisses":2,"warmBailouts":1},"format":2,"prevHash":"2ef15a1cf550b75093b98c545e59ab3263b8ea2c99c17d65cfeb215e124f0e28","recordHash":"b90099a970b1c2d61c920723a94de7084a58ae711e2513a255710c22818f0e83"}`
+
+// TestWarmCountersOnDiskStayValid: a record stored with warm-start
+// counters still opens, chains and passes a strict fsck. Each chained
+// line must byte-equal its re-marshal, so Counters keeps the Warm* fields.
+func TestWarmCountersOnDiskStayValid(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, indexName), []byte(parentWarmLine+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	rec, ok := r.Get("r000001-6c16e57e")
+	if !ok {
+		t.Fatal("stored record missing after open")
+	}
+	if b, _ := json.Marshal(rec); string(b) != parentWarmLine {
+		t.Fatalf("record re-marshals differently:\n got %s\nwant %s", b, parentWarmLine)
+	}
+	if _, err := r.Append(testRecord("after", 0.1)); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	rep, err := Fsck(dir, FsckOptions{Strict: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || rep.Records != 2 || rep.Chained != 2 || rep.Legacy != 0 {
+		t.Fatalf("fsck: %+v", rep)
+	}
+}

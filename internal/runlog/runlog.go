@@ -240,11 +240,11 @@ type Counters struct {
 	SolverPruned     int64 `json:"solverPruned,omitempty"`
 	SolverIncumbents int64 `json:"solverIncumbents,omitempty"`
 
-	// Warm-start tier counts. Deterministic for a given request sequence
-	// (unlike e.g. shard hand-off counts, which depend on scheduling and
-	// are deliberately excluded): the regression gate pins them so a
-	// silently changed reuse decision — the precursor of an unsound
-	// reuse — fails with an explicit reason.
+	// Warm-start tier counts of the retired warm-start cache. Nothing
+	// writes them any more; they stay so records already on disk keep
+	// their bytes: fsck requires every stored line to equal its
+	// re-marshal, so dropping the fields would flag those records as
+	// corrupted.
 	WarmExact    int64 `json:"warmExact,omitempty"`
 	WarmScaled   int64 `json:"warmScaled,omitempty"`
 	WarmHint     int64 `json:"warmHint,omitempty"`
@@ -273,13 +273,6 @@ func CountersFrom(set *obs.Set) Counters {
 		c.SolverNodes = sv.NodesExpanded.Value()
 		c.SolverPruned = sv.NodesPruned.Value()
 		c.SolverIncumbents = sv.Incumbents.Value()
-	}
-	if w := set.WarmOf(); w != nil {
-		c.WarmExact = w.Exact.Value()
-		c.WarmScaled = w.Scaled.Value()
-		c.WarmHint = w.Hint.Value()
-		c.WarmMisses = w.Misses.Value()
-		c.WarmBailouts = w.Bailouts.Value()
 	}
 	return c
 }

@@ -4,11 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mamps/internal/arch"
+	"mamps/internal/mapping"
+	"mamps/internal/mjpeg"
 	"mamps/internal/sdf"
 	"mamps/internal/statespace"
 )
@@ -185,24 +189,102 @@ func chainGraph(execTimes ...int64) *sdf.Graph {
 	return g
 }
 
+// memoInput is one analysis the memo must answer exactly as the kernel
+// does.
+type memoInput struct {
+	name  string
+	build func(t *testing.T) (*sdf.Graph, statespace.Options)
+}
+
+// memoInputs covers the kernel's termination paths: a timed cycle, a
+// chain with a state self-loop, a multirate cycle, a deadlock, and the
+// binding-aware MJPEG 5-tile analyses on both interconnects.
+func memoInputs() []memoInput {
+	inputs := []memoInput{
+		{"cycle", func(t *testing.T) (*sdf.Graph, statespace.Options) {
+			g := sdf.NewGraph("cycle")
+			a := g.AddActor("a", 2)
+			b := g.AddActor("b", 3)
+			g.Connect(a, b, 1, 1, 0)
+			g.Connect(b, a, 1, 1, 1)
+			return g, statespace.Options{}
+		}},
+		{"chain", func(t *testing.T) (*sdf.Graph, statespace.Options) {
+			return chainGraph(3, 5, 2), statespace.Options{}
+		}},
+		{"multirate", func(t *testing.T) (*sdf.Graph, statespace.Options) {
+			g := sdf.NewGraph("mr")
+			a := g.AddActor("a", 2)
+			b := g.AddActor("b", 3)
+			a.MaxConcurrent = 1
+			b.MaxConcurrent = 1
+			g.Connect(a, b, 2, 1, 0)
+			g.Connect(b, a, 1, 2, 2)
+			return g, statespace.Options{ReferenceActor: b.ID}
+		}},
+		{"deadlock", func(t *testing.T) (*sdf.Graph, statespace.Options) {
+			g := sdf.NewGraph("dead")
+			a := g.AddActor("a", 1)
+			b := g.AddActor("b", 1)
+			g.Connect(a, b, 1, 1, 0)
+			g.Connect(b, a, 1, 1, 0)
+			return g, statespace.Options{Schedules: []statespace.Schedule{
+				{Tile: "t0", Entries: []sdf.ActorID{a.ID}},
+				{Tile: "t1", Entries: []sdf.ActorID{b.ID}},
+			}}
+		}},
+	}
+	for _, ic := range []arch.InterconnectKind{arch.FSL, arch.NoC} {
+		ic := ic
+		inputs = append(inputs, memoInput{"mjpeg-" + ic.String(), func(t *testing.T) (*sdf.Graph, statespace.Options) {
+			stream, _, err := mjpeg.EncodeSequence(mjpeg.SeqGradient, 32, 32, 2, 90, mjpeg.Sampling420)
+			if err != nil {
+				t.Fatal(err)
+			}
+			app, _, err := mjpeg.BuildApp(stream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := arch.DefaultTemplate().Generate("p", 5, ic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := mapping.Map(app, p, mapping.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m.Expanded.Graph, statespace.Options{Schedules: m.ExpandedSchedules, MaxStates: 1 << 22}
+		}})
+	}
+	return inputs
+}
+
+// TestAnalyzerMemoizesAndCancels: the memo's miss and its hit both return
+// exactly the cold kernel's result, MaxTokens aside (the memo strips it,
+// see Analyzer), and a computed analysis honours its context.
 func TestAnalyzerMemoizesAndCancels(t *testing.T) {
 	c := New(16)
-	g := chainGraph(3, 5, 2)
 	an := Analyzer(c, context.Background())
-
-	r1, err := an(g, statespace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := an(g, statespace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Throughput != r2.Throughput || r1.Throughput <= 0 {
-		t.Fatalf("throughputs differ or zero: %v vs %v", r1.Throughput, r2.Throughput)
-	}
-	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want 1 hit 1 miss", st)
+	for _, in := range memoInputs() {
+		g, opt := in.build(t)
+		want, err := statespace.Analyze(g, opt)
+		if err != nil {
+			t.Fatalf("%s: cold: %v", in.name, err)
+		}
+		want.MaxTokens = nil
+		before := c.Stats()
+		for _, step := range []string{"miss", "hit"} {
+			got, err := an(g, opt)
+			if err != nil {
+				t.Fatalf("%s: memo %s: %v", in.name, step, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: memo %s diverged from cold\n got %+v\nwant %+v", in.name, step, got, want)
+			}
+		}
+		if st := c.Stats(); st.Misses-before.Misses != 1 || st.Hits-before.Hits != 1 {
+			t.Fatalf("%s: stats %+v after %+v, want 1 more miss and 1 more hit", in.name, st, before)
+		}
 	}
 
 	// A cancelled context aborts an uncached analysis.
@@ -254,5 +336,28 @@ func TestAnalyzerDeadlockReportPerTile(t *testing.T) {
 	}
 	if st := c.Stats(); st.Hits != 2 || st.Misses != 2 {
 		t.Errorf("stats = %+v, want 2 hits 2 misses", st)
+	}
+}
+
+// TestAnalyzerOnCompleteBypassesMemo: an analysis with an OnComplete hook
+// is valued for its side effects, so the memo neither answers nor stores
+// it, and the hook fires even when the same analysis is memoized.
+func TestAnalyzerOnCompleteBypassesMemo(t *testing.T) {
+	c := New(16)
+	an := Analyzer(c, context.Background())
+	g := chainGraph(3, 5, 2)
+	if _, err := an(g, statespace.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	fired := 0
+	opt := statespace.Options{OnComplete: func(sdf.ActorID, int64) { fired++ }}
+	if _, err := an(g, opt); err != nil {
+		t.Fatal(err)
+	}
+	if fired == 0 {
+		t.Fatal("OnComplete never fired: the memo answered a side-effecting analysis")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want the hooked analysis to bypass the memo", st)
 	}
 }

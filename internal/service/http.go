@@ -23,7 +23,6 @@ import (
 	"mamps/internal/service/cache"
 	"mamps/internal/sim"
 	"mamps/internal/statespace"
-	"mamps/internal/statespace/warm"
 )
 
 // Handler returns the service's HTTP surface.
@@ -315,22 +314,18 @@ func (s *Server) analyzeJob(ctx context.Context, req modelio.AnalyzeRequestJSON)
 	for _, a := range g.Actors() {
 		a.MaxConcurrent = 1
 	}
-	sopt := statespace.Options{Interrupt: ctx.Done(), Telemetry: s.explorer}
-	// Route the evaluations through the shared warm-start cache (nil
-	// degrades to cold analysis): repeated workloads differing only in
-	// WCETs reuse prior explorations, bit-identically.
-	var analyze warm.AnalyzeFunc
-	if s.warm != nil {
-		analyze = s.warm.Analyzer(statespace.Analyze)
-	}
-	thr, err := buffer.EvaluateWith(g, buffer.LowerBounds(g), analyze, sopt)
+	// Route the evaluations through the shared analysis cache, so requests
+	// on one model that differ only in their target reuse each other's
+	// buffer-sizing analyses.
+	analyze := s.analyzer(ctx)
+	thr, err := buffer.EvaluateWith(g, buffer.LowerBounds(g), analyze, statespace.Options{})
 	if err != nil {
 		return nil, err
 	}
 	resp.Throughput = modelio.NewThroughputJSON(thr)
 
 	if req.TargetThroughput > 0 {
-		dist, got, err := buffer.Minimize(g, req.TargetThroughput, buffer.Options{Analysis: sopt, Analyze: analyze})
+		dist, got, err := buffer.Minimize(g, req.TargetThroughput, buffer.Options{Analyze: analyze})
 		if err != nil {
 			return nil, err
 		}
@@ -396,6 +391,17 @@ func parseInterconnect(name string) (arch.InterconnectKind, error) {
 	}
 }
 
+// analyzer returns the service's analysis entry point for one job: the
+// shared content cache memoizes every analysis, ctx cancels the computed
+// ones, and those publish into the explorer counters.
+func (s *Server) analyzer(ctx context.Context) func(*sdf.Graph, statespace.Options) (statespace.Result, error) {
+	analyze := cache.Analyzer(s.cache, ctx)
+	return func(g *sdf.Graph, opt statespace.Options) (statespace.Result, error) {
+		opt.Telemetry = s.explorer
+		return analyze(g, opt)
+	}
+}
+
 func (s *Server) flowJob(ctx context.Context, req modelio.FlowRequestJSON) (any, error) {
 	built, err := resolveApp(req.AppXML, req.Workload)
 	if err != nil {
@@ -422,18 +428,8 @@ func (s *Server) flowJob(ctx context.Context, req modelio.FlowRequestJSON) (any,
 		// Trace, so span recording stays disabled on the service path.
 		cfg.Obs = &obs.Set{Sim: s.simStats}
 		// Route the binding-aware verifications through the shared cache, so
-		// distinct requests over the same model reuse each other's analyses,
-		// with the explorer counters threaded into every computed analysis.
-		analyze := cache.Analyzer(s.cache, ctx)
-		cfg.MapOptions.Analyze = func(g *sdf.Graph, opt statespace.Options) (statespace.Result, error) {
-			opt.Telemetry = s.explorer
-			return analyze(g, opt)
-		}
-		// The shared warm-start cache layers on top (flow wraps it
-		// outermost): near-miss requests reuse prior explorations the
-		// exact-key cache cannot serve. Recorded runs stay cold so their
-		// counters are reproducible.
-		cfg.Warm = s.warm
+		// distinct requests over the same model reuse each other's analyses.
+		cfg.MapOptions.Analyze = s.analyzer(ctx)
 	}
 
 	if req.ArchXML != "" {

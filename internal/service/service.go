@@ -40,7 +40,6 @@ import (
 	"mamps/internal/service/cache"
 	"mamps/internal/sim"
 	"mamps/internal/statespace"
-	"mamps/internal/statespace/warm"
 )
 
 // Config configures a Server.
@@ -60,10 +59,9 @@ type Config struct {
 	// validated but have no effect. Kept so existing configurations
 	// still compile.
 	AnalyzeWorkers int
-	// WarmCapacity bounds the warm-start cache of prior explorations
-	// shared by non-recorded jobs (default 256 entries; negative
-	// disables warm-start entirely). Recorded runs (RunLog set) always
-	// analyze cold so their counters stay reproducible.
+	// WarmCapacity is ignored: the warm-start cache it sized was
+	// retired, and the analysis cache above is the one analysis memo.
+	// Kept so existing configurations still compile.
 	WarmCapacity int
 	// Clock is the time source for latency measurement and flow step
 	// timing; nil selects the system monotonic clock.
@@ -220,7 +218,6 @@ type Server struct {
 	explorer   *obs.ExplorerStats
 	simStats   *obs.SimStats
 	solverStat *obs.SolverStats
-	warm       *warm.Cache // nil when disabled
 	runlog     *runlog.Registry
 
 	slos          *slo.Board
@@ -277,13 +274,6 @@ func New(cfg Config) *Server {
 		baseCtx:    ctx,
 		abort:      abort,
 		jobs:       make(chan *job, cfg.QueueDepth),
-	}
-	if cfg.WarmCapacity >= 0 {
-		wc := cfg.WarmCapacity
-		if wc == 0 {
-			wc = 256
-		}
-		s.warm = warm.New(wc, obs.NewWarmStats(reg))
 	}
 	if s.runlog != nil {
 		s.runlog.AttachMetrics(reg)

@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -151,6 +153,66 @@ func TestAnalyzeEndpoint(t *testing.T) {
 	}
 	if again.Throughput != out.Throughput {
 		t.Fatalf("cached result differs: %v vs %v", again.Throughput, out.Throughput)
+	}
+}
+
+// TestAnalyzeMemoReuse: /v1/analyze routes its buffer-sizing evaluations
+// through the shared analysis memo, so a second request on the same model
+// that differs only in its target reuses the first one's analyses, and
+// both answers equal those of a server whose cache is disabled.
+func TestAnalyzeMemoReuse(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	ref := New(Config{Workers: 1})
+	defer ref.Shutdown(context.Background())
+	ref.cache = nil
+
+	hits := func() float64 {
+		t.Helper()
+		_, data := get(t, ts, "/metrics")
+		for _, line := range strings.Split(string(data), "\n") {
+			if v, ok := strings.CutPrefix(line, "mamps_cache_hits_total "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("metrics lack mamps_cache_hits_total:\n%s", data)
+		return 0
+	}
+	for i, target := range []string{"1e-5", "2e-5"} {
+		body := `{"workload":` + smallMJPEG + `,"targetThroughput":` + target + `}`
+		before := hits()
+		resp, data := post(t, ts, "/v1/analyze", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("target %s: status %d: %s", target, resp.StatusCode, data)
+		}
+		if i == 1 && hits() <= before {
+			t.Fatalf("target %s: mamps_cache_hits_total stayed at %v; the analyses were not reused", target, before)
+		}
+		var got modelio.AnalyzeResponseJSON
+		if err := json.Unmarshal(data, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Cached {
+			t.Fatalf("target %s: answered from the job cache, not computed", target)
+		}
+		got.ElapsedMS = 0
+		var req modelio.AnalyzeRequestJSON
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.analyzeJob(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("target %s: memoized answer differs from the uncached one:\n got %+v\nwant %+v", target, got, want)
+		}
 	}
 }
 

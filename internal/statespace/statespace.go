@@ -83,9 +83,9 @@ type Options struct {
 	// hot loop's allocation-free guarantee.
 	Telemetry *obs.ExplorerStats
 
-	// SizeHint pre-sizes the state store from prior knowledge (typically a
-	// warm-start cache's record of a structurally identical exploration),
-	// avoiding growth reallocations. It never changes the result.
+	// SizeHint pre-sizes the state store from prior knowledge of the
+	// exploration's size, avoiding growth reallocations. It never changes
+	// the result.
 	SizeHint SizeHint
 }
 

@@ -1,5 +1,5 @@
-// Soundness tests: every warm-tier result must be bit-identical to the
-// cold analysis of the same request.
+// Soundness tests: the pass-through cache must answer every request
+// bit-identically to the cold analysis and must retain nothing.
 package warm_test
 
 import (
@@ -41,55 +41,10 @@ func check(t *testing.T, an warm.AnalyzeFunc, g *sdf.Graph, opt statespace.Optio
 	return got
 }
 
-func TestTiers(t *testing.T) {
-	stats := obs.NewWarmStats(nil)
-	an := warm.New(8, stats).Analyzer(statespace.Analyze)
-
-	// Cold: first sight of the structure.
-	check(t, an, pipeline([3]int64{3, 5, 2}, 4), statespace.Options{})
-	if stats.Misses.Value() != 1 {
-		t.Fatalf("Misses = %d, want 1", stats.Misses.Value())
-	}
-
-	// Exact: the identical request again.
-	check(t, an, pipeline([3]int64{3, 5, 2}, 4), statespace.Options{})
-	if stats.Exact.Value() != 1 {
-		t.Fatalf("Exact = %d, want 1", stats.Exact.Value())
-	}
-
-	// Scaled: all WCETs times 7/1.
-	check(t, an, pipeline([3]int64{21, 35, 14}, 4), statespace.Options{})
-	if stats.Scaled.Value() != 1 {
-		t.Fatalf("Scaled = %d, want 1", stats.Scaled.Value())
-	}
-
-	// Scaled down: 21,35,14 is now the latest structural entry; 3,5,2 is
-	// the factor 1/7 from it (exercises q > p and divisibility).
-	check(t, an, pipeline([3]int64{3, 5, 2}, 4), statespace.Options{})
-	if stats.Exact.Value() != 2 { // identical to the first request ⇒ exact, not scaled
-		t.Fatalf("Exact = %d, want 2", stats.Exact.Value())
-	}
-	check(t, an, pipeline([3]int64{6, 10, 4}, 4), statespace.Options{})
-	if stats.Scaled.Value() != 2 {
-		t.Fatalf("Scaled = %d, want 2", stats.Scaled.Value())
-	}
-
-	// Hint: same structure, unrelated WCETs — runs cold but pre-sized.
-	check(t, an, pipeline([3]int64{3, 5, 7}, 4), statespace.Options{})
-	if stats.Hint.Value() != 1 {
-		t.Fatalf("Hint = %d, want 1", stats.Hint.Value())
-	}
-
-	// Different structure (token count) is a miss, not a hint.
-	check(t, an, pipeline([3]int64{3, 5, 2}, 3), statespace.Options{})
-	if stats.Misses.Value() != 2 {
-		t.Fatalf("Misses = %d, want 2", stats.Misses.Value())
-	}
-}
-
 func TestScaledMatchesColdExactly(t *testing.T) {
-	// Sweep factors including non-integer rationals; every scaled result
-	// must equal cold bit for bit (float Throughput included).
+	// Sweep factors including non-integer rationals; every result for a
+	// WCET-scaled graph must equal cold bit for bit (float Throughput
+	// included).
 	an := warm.New(8, nil).Analyzer(statespace.Analyze)
 	base := [3]int64{6, 10, 4}
 	check(t, an, pipeline(base, 2), statespace.Options{})
@@ -99,107 +54,21 @@ func TestScaledMatchesColdExactly(t *testing.T) {
 	}
 }
 
-func TestDeadlockNeverScaled(t *testing.T) {
-	stats := obs.NewWarmStats(nil)
-	an := warm.New(8, stats).Analyzer(statespace.Analyze)
-	dead := func(wcet int64) *sdf.Graph {
-		g := sdf.NewGraph("dead")
-		a := g.AddActor("a", wcet)
-		b := g.AddActor("b", wcet)
-		g.Connect(a, b, 1, 1, 0)
-		g.Connect(b, a, 1, 1, 0)
-		return g
-	}
-	check(t, an, dead(1), statespace.Options{})
-	// Same structure, scaled WCETs: must bail out of the scaled tier and
-	// run cold (with a hint), never transform the deadlock.
-	check(t, an, dead(2), statespace.Options{})
-	if stats.Scaled.Value() != 0 {
-		t.Fatalf("Scaled = %d, want 0 for deadlocks", stats.Scaled.Value())
-	}
-	if stats.Bailouts.Value() == 0 {
-		t.Fatal("expected a recorded bailout for the refused deadlock scaling")
-	}
-	// The exact tier still serves deadlocks verbatim.
-	check(t, an, dead(1), statespace.Options{})
-	if stats.Exact.Value() != 1 {
-		t.Fatalf("Exact = %d, want 1", stats.Exact.Value())
-	}
-}
-
-func TestBudgetGuard(t *testing.T) {
-	// A cached exploration must not satisfy a request whose MaxStates
-	// budget the cold kernel would exceed.
-	an := warm.New(8, nil).Analyzer(statespace.Analyze)
-	g := pipeline([3]int64{3, 5, 2}, 4)
-	res, err := an(g, statespace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tight := statespace.Options{MaxStates: res.StatesExplored}
-	if _, err := an(pipeline([3]int64{3, 5, 2}, 4), tight); err == nil {
-		t.Fatal("warm analyzer served a result the cold kernel would refuse (budget exceeded)")
-	}
-	if _, err := statespace.Analyze(g, tight); err == nil {
-		t.Fatal("cold kernel accepted the tight budget; test premise broken")
-	}
-	// One more state of budget and both succeed again.
-	check(t, an, pipeline([3]int64{3, 5, 2}, 4), statespace.Options{MaxStates: res.StatesExplored + 1})
-}
-
-func TestOnCompleteBypassesCache(t *testing.T) {
-	stats := obs.NewWarmStats(nil)
-	an := warm.New(8, stats).Analyzer(statespace.Analyze)
-	g := pipeline([3]int64{3, 5, 2}, 4)
-	if _, err := an(g, statespace.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	fired := 0
-	opt := statespace.Options{OnComplete: func(sdf.ActorID, int64) { fired++ }}
-	if _, err := an(pipeline([3]int64{3, 5, 2}, 4), opt); err != nil {
-		t.Fatal(err)
-	}
-	if fired == 0 {
-		t.Fatal("OnComplete never fired: cache served a side-effecting analysis")
-	}
-	if stats.Bailouts.Value() != 1 {
-		t.Fatalf("Bailouts = %d, want 1", stats.Bailouts.Value())
-	}
-}
-
-func TestResultIsolation(t *testing.T) {
-	// Mutating a returned Result must not corrupt the cache.
-	an := warm.New(8, nil).Analyzer(statespace.Analyze)
-	g := pipeline([3]int64{3, 5, 2}, 4)
-	first, err := an(g, statespace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range first.MaxTokens {
-		first.MaxTokens[i] = -1
-	}
-	second, err := an(pipeline([3]int64{3, 5, 2}, 4), statespace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range second.MaxTokens {
-		if v == -1 {
-			t.Fatalf("MaxTokens[%d] aliases the first caller's slice", i)
-		}
-	}
-}
-
 func TestEviction(t *testing.T) {
-	stats := obs.NewWarmStats(nil)
-	an := warm.New(2, stats).Analyzer(statespace.Analyze)
+	// A request repeated after more distinct requests than the capacity
+	// must reach the inner analyzer again and still match cold. The
+	// pass-through retains nothing, so every request reaches it.
+	calls := 0
+	inner := func(g *sdf.Graph, opt statespace.Options) (statespace.Result, error) {
+		calls++
+		return statespace.Analyze(g, opt)
+	}
+	an := warm.New(2, obs.NewWarmStats(nil)).Analyzer(inner)
 	check(t, an, pipeline([3]int64{3, 5, 2}, 4), statespace.Options{})
 	check(t, an, pipeline([3]int64{3, 5, 2}, 3), statespace.Options{})
 	check(t, an, pipeline([3]int64{3, 5, 2}, 2), statespace.Options{}) // evicts the first
 	check(t, an, pipeline([3]int64{3, 5, 2}, 4), statespace.Options{})
-	if stats.Exact.Value() != 0 {
-		t.Fatalf("Exact = %d, want 0 after eviction", stats.Exact.Value())
-	}
-	if stats.Misses.Value() != 4 {
-		t.Fatalf("Misses = %d, want 4", stats.Misses.Value())
+	if calls != 4 {
+		t.Fatalf("inner analyzer calls = %d, want 4: an evicted request was served from the cache", calls)
 	}
 }
